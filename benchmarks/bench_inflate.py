@@ -244,16 +244,6 @@ def _baseline_inflate(data: bytes) -> bytes:
             return bytes(out)
 
 
-def _best_mbps(fn: Callable[[], object], nbytes: int,
-               repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return nbytes / best / 1e6
-
-
 def _interleaved_mbps(fns: Sequence[Callable[[], object]], nbytes: int,
                       repeats: int) -> List[float]:
     """Best-of throughput for several decoders, rounds interleaved.
@@ -287,14 +277,8 @@ def inflate_workloads(size_bytes: int) -> Dict[str, bytes]:
 
 
 def measure_decoders(size_bytes: int, repeats: int) -> List[dict]:
-    """Baseline vs fast inflate per workload, plus engine variants."""
+    """Baseline vs fast inflate per workload."""
     from repro.deflate.inflate import inflate
-
-    try:
-        import numpy  # noqa: F401
-        have_numpy = True
-    except ImportError:
-        have_numpy = False
 
     rows: List[dict] = []
     for workload, data in sorted(inflate_workloads(size_bytes).items()):
@@ -306,10 +290,8 @@ def measure_decoders(size_bytes: int, repeats: int) -> List[dict]:
             expected = zlib.decompress(body, -15)
             for name, fn in (
                 ("baseline", lambda b=body: _baseline_inflate(b)),
-                ("scalar", lambda b=body: inflate(b, engine="scalar")),
-            ) + ((
-                ("numpy", lambda b=body: inflate(b, engine="numpy")),
-            ) if have_numpy else ()):
+                ("fast", lambda b=body: inflate(b)),
+            ):
                 if fn() != expected:
                     raise AssertionError(
                         f"{name} decode diverges from zlib on "
@@ -317,7 +299,7 @@ def measure_decoders(size_bytes: int, repeats: int) -> List[dict]:
                     )
             baseline_mbps, scalar_mbps = _interleaved_mbps(
                 (lambda: _baseline_inflate(body),
-                 lambda: inflate(body, engine="scalar")),
+                 lambda: inflate(body)),
                 len(data), repeats)
             row = {
                 "workload": f"{workload}-l{level}",
@@ -327,10 +309,6 @@ def measure_decoders(size_bytes: int, repeats: int) -> List[dict]:
                 "speedup": round(scalar_mbps / baseline_mbps, 3),
                 "headline": (workload, level) == HEADLINE,
             }
-            if have_numpy:
-                row["numpy_mbps"] = round(_best_mbps(
-                    lambda: inflate(body, engine="numpy"),
-                    len(data), repeats), 3)
             rows.append(row)
     return rows
 
@@ -382,18 +360,15 @@ def render(report: dict) -> str:
         "EXTENSION — TABLE-DRIVEN INFLATE (multi-symbol entries, "
         "word-at-a-time refill)",
         f"{'workload':<18s} {'baseline':>9s} {'fast':>9s} "
-        f"{'numpy':>9s} {'speedup':>8s}",
+        f"{'speedup':>8s}",
     ]
     for row in report["rows"]:
         if "baseline_mbps" in row:
-            numpy_mbps = row.get("numpy_mbps")
             lines.append(
                 f"{row['workload']:<18s} "
                 f"{row['baseline_mbps']:>7.2f}MB "
                 f"{row['fast_mbps']:>7.2f}MB "
-                + (f"{numpy_mbps:>7.2f}MB " if numpy_mbps is not None
-                   else f"{'-':>9s} ")
-                + f"{row['speedup']:>7.2f}x"
+                f"{row['speedup']:>7.2f}x"
             )
     lines.append("")
     lines.append("TRANSCODE (fixed-block input -> adaptive re-encode, "

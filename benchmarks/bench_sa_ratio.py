@@ -5,8 +5,8 @@ longest-match queries, no ``max_chain`` budget) and the iterative
 re-tokenisation loop (each block re-parsed against its own emerging
 Huffman code lengths). This benchmark measures what those two changes
 buy over the previous ``best`` configuration — the same window, policy
-and adaptive splitter, but the hash-chain ``vector``/``fast`` tokenizer
-and no refine loop — and gates the headline claim:
+and adaptive splitter, but the hash-chain ``fast`` tokenizer and no
+refine loop — and gates the headline claim:
 
 * on the **heterogeneous** workload (alternating text/noise runs, the
   corpus the cut search is calibrated on) the sa+refine output must be
@@ -111,7 +111,7 @@ def _run(data: bytes, backend: str, refine: bool) -> bytes:
 
 
 def measure(size_bytes: int) -> List[dict]:
-    """best(sa+refine) vs best-with-vector/refine-off, per workload.
+    """best(sa+refine) vs best-with-fast/refine-off, per workload.
 
     One timed round each: both paths are deterministic and the gate
     ratio (new/old wall time) is far from its ceiling, so repeat
@@ -120,12 +120,12 @@ def measure(size_bytes: int) -> List[dict]:
     rows: List[dict] = []
     for workload, data in sorted(workloads(size_bytes).items()):
         start = time.perf_counter()
-        old = _run(data, backend="vector", refine=False)
+        old = _run(data, backend="fast", refine=False)
         old_s = time.perf_counter() - start
         start = time.perf_counter()
         new = _run(data, backend="sa", refine=True)
         new_s = time.perf_counter() - start
-        for label, stream in (("vector", old), ("sa+refine", new)):
+        for label, stream in (("fast", old), ("sa+refine", new)):
             if zlib.decompress(stream) != data:
                 raise AssertionError(
                     f"{workload}: {label} stream does not decode")
@@ -151,7 +151,7 @@ def render(report: dict) -> str:
     lines = [
         f"best profile: sa matcher + refine loop vs hash-chain best "
         f"({report['size_bytes']} B/workload)",
-        f"{'workload':>16s} {'vector B':>10s} {'sa+refine B':>12s} "
+        f"{'workload':>16s} {'fast B':>10s} {'sa+refine B':>12s} "
         f"{'gain':>7s} {'time':>7s} {'gate':>6s}",
     ]
     for row in report["sa_ratio"]:

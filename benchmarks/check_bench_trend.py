@@ -2,7 +2,7 @@
 
 The perf-smoke CI job regenerates the machine-readable benchmark
 exhibits (``BENCH_parallel.json``, ``BENCH_tokenizer.json``,
-``BENCH_adaptive.json``, ``BENCH_matcher.json``, ``BENCH_batch.json``,
+``BENCH_adaptive.json``, ``BENCH_batch.json``,
 ``BENCH_preset_dict.json``, ``BENCH_serve.json``,
 ``BENCH_inflate.json``, ``BENCH_sa.json``). This checker diffs
 each fresh file against the
@@ -60,7 +60,6 @@ BENCH_FILES = (
     "BENCH_parallel.json",
     "BENCH_tokenizer.json",
     "BENCH_adaptive.json",
-    "BENCH_matcher.json",
     "BENCH_batch.json",
     "BENCH_preset_dict.json",
     "BENCH_serve.json",

@@ -60,10 +60,13 @@ def reject_legacy_trace(param: str, value) -> None:
     """
     if value is None:
         return
+    from repro.lzss.backends import BACKEND_NAMES
+
     replacement = "backend='traced'" if value else "backend='fast'"
+    names = "/".join((*BACKEND_NAMES, "auto"))
     raise ConfigError(
         f"{param}= was removed; pass {replacement} instead "
-        f"(backends: traced/fast/vector/sa/auto — see repro.lzss.backends)"
+        f"(backends: {names} — see repro.lzss.backends)"
     )
 
 
@@ -113,8 +116,8 @@ class CompressRequest:
     ``profile`` is a preset name, a
     :class:`~repro.profile.CompressionProfile`, or ``None``.
 
-    >>> CompressRequest(profile="fastest").resolve().backend
-    'auto'
+    >>> CompressRequest(profile="balanced").resolve().backend
+    'fast'
     >>> CompressRequest(profile="fastest", backend="fast").resolve().backend
     'fast'
     >>> CompressRequest().resolve(backend="traced").backend
@@ -133,14 +136,10 @@ class CompressRequest:
     refine: Optional[bool] = None
     zdict: Optional[bytes] = None
     batch_shared_plan: Optional[bool] = None
-    # Per-shard routing knobs; a whole ``router`` object wins over all
-    # of them (it is already a resolved RouterConfig).
-    route: Optional[str] = None
-    probe_entropy_bits: Optional[float] = None
-    probe_match_density: Optional[float] = None
+    # Traced-sampling knobs; a whole ``router`` object wins over both
+    # (it is already a resolved RouterConfig).
     trace_fraction: Optional[float] = None
     trace_seed: Optional[int] = None
-    probe_min_bytes: Optional[int] = None
     router: Optional[RouterConfig] = None
 
     def merged(self, **overrides) -> "CompressRequest":
@@ -210,12 +209,8 @@ class CompressRequest:
             batch_shared_plan=pick("batch_shared_plan", True),
             router=config_from_profile(
                 prof,
-                route=self.route,
-                probe_entropy_bits=self.probe_entropy_bits,
-                probe_match_density=self.probe_match_density,
                 trace_fraction=self.trace_fraction,
                 trace_seed=self.trace_seed,
-                probe_min_bytes=self.probe_min_bytes,
                 router=self.router,
             ),
         )

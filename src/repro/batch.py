@@ -11,9 +11,8 @@ into one buffer and run the expensive machinery once.
 :func:`compress_batch` is the end-to-end entry point:
 
 1. **One routing decision** for the whole batch
-   (:func:`repro.lzss.router.route_batch`): a single probe over the
-   packed bytes instead of N per-payload probes, with a stored bypass
-   for all-incompressible batches.
+   (:func:`repro.lzss.router.route_batch`): the packed kernel for
+   ``auto`` where it applies, else one concrete backend per payload.
 2. **One tokenization pass** (:func:`repro.lzss.batch.tokenize_batch`):
    payloads are packed into one contiguous buffer and matched by a
    single vectorised hash/match sweep with seam masks, so no match ever
@@ -34,10 +33,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
-from repro.bitio.writer import BitWriter
 from repro.checksums.adler32 import adler32_many
-from repro.deflate.batch_emit import CHOICE_STORED, emit_batch
-from repro.deflate.block_writer import write_stored_block
+from repro.deflate.batch_emit import emit_batch
 from repro.deflate.preset_dict import fdict_header
 from repro.deflate.zlib_container import make_header
 from repro.errors import ConfigError
@@ -50,11 +47,7 @@ from repro.lzss.batch import (
 )
 from repro.lzss.hashchain import HashSpec
 from repro.lzss.policy import MatchPolicy
-from repro.lzss.router import (
-    RouterConfig,
-    RoutingDecision,
-    route_batch,
-)
+from repro.lzss.router import RoutingDecision, route_batch
 from repro.profile import CompressionProfile
 
 
@@ -92,7 +85,7 @@ class BatchResult:
     names its block coding (``"shared"``/``"fixed"``/``"stored"``).
     ``plan`` is the pooled :class:`repro.deflate.dynamic.DynamicPlan`
     when at least the pricing ran with shared plans enabled (``None``
-    for the stored bypass or ``shared_plan=False``).
+    with ``shared_plan=False``).
     """
 
     __slots__ = ("streams", "choices", "routing", "plan", "stats")
@@ -112,16 +105,6 @@ class BatchResult:
         return iter(self.streams)
 
 
-def _stored_bodies(payloads: Sequence[bytes]) -> List[bytes]:
-    """Every payload as a single final stored block (batch bypass)."""
-    bodies = []
-    for payload in payloads:
-        writer = BitWriter()
-        write_stored_block(writer, payload, final=True)
-        bodies.append(writer.flush())
-    return bodies
-
-
 def compress_batch(
     payloads: Sequence[bytes],
     *,
@@ -133,7 +116,6 @@ def compress_batch(
     backend: Optional[str] = None,
     shared_plan: Optional[bool] = None,
     backends: Optional[Mapping[int, str]] = None,
-    router: Optional[RouterConfig] = None,
 ) -> BatchResult:
     """Compress N independent payloads in one batched pass.
 
@@ -164,7 +146,6 @@ def compress_batch(
         backend=backend,
         batch_shared_plan=shared_plan,
         zdict=zdict if zdict else None,
-        router=router,
     ).resolve(
         backend="auto",
         hash_spec=HashSpec(),
@@ -176,7 +157,6 @@ def compress_batch(
     backend = resolved.backend
     shared = resolved.batch_shared_plan
     zdict = resolved.zdict
-    config = resolved.router
 
     payloads = [bytes(p) for p in payloads]
     overrides = dict(backends or {})
@@ -195,33 +175,25 @@ def compress_batch(
 
     if not payloads:
         routing = RoutingDecision(
-            backend="fast", requested=backend, route=config.route,
-            reason="empty-batch",
+            backend="fast", requested=backend, reason="empty-batch",
         )
         return BatchResult([], (), routing, None,
                            BatchStats(0, 0, 0, {}))
 
-    routing = route_batch(
-        b"".join(payloads), backend=backend, policy=policy, config=config
+    routing = route_batch(payloads, backend=backend, policy=policy)
+    tokens_list = tokenize_batch(
+        payloads, window_size, hash_spec, policy,
+        backend=backend, dictionary=dictionary,
     )
-    if routing.backend == "stored":
-        bodies = _stored_bodies(payloads)
-        choices = (CHOICE_STORED,) * len(payloads)
-        plan = None
-    else:
-        tokens_list = tokenize_batch(
-            payloads, window_size, hash_spec, policy,
-            backend=routing.backend, dictionary=dictionary,
+    for index, name in overrides.items():
+        tokens_list[index] = tokenize_scalar(
+            payloads[index], dictionary, window_size, hash_spec,
+            policy, resolve(name, policy),
         )
-        for index, name in overrides.items():
-            tokens_list[index] = tokenize_scalar(
-                payloads[index], dictionary, window_size, hash_spec,
-                policy, resolve(name, policy),
-            )
-        emission = emit_batch(tokens_list, payloads, shared_plan=shared)
-        bodies = emission.bodies
-        choices = tuple(emission.choices)
-        plan = emission.plan
+    emission = emit_batch(tokens_list, payloads, shared_plan=shared)
+    bodies = emission.bodies
+    choices = tuple(emission.choices)
+    plan = emission.plan
 
     trailers = adler32_many(payloads)
     streams = [

@@ -13,29 +13,17 @@ scalar in code: the :class:`~repro.huffman.decoder.HuffmanDecoder`
 tables resolve literal *runs* and fused length+extra records per
 lookup, the bit buffer refills a 64-bit word at a time (one
 ``int.from_bytes`` per token instead of per byte), and back-reference
-copies are slice/period-trick bulk operations. With numpy installed an
-alternative engine decodes each block to token arrays and materialises
-the output with a GPULZ-style gather (log-rounds pointer doubling
-instead of a per-match Python loop); ``engine="auto"`` keeps the scalar
-path, which benchmarks faster at typical block sizes — see
-docs/PERFORMANCE.md for the measured crossover.
+copies are slice/period-trick bulk operations.
 
 ``max_output`` bounds are enforced *mid-stream*: stored blocks check
-before extending, compressed blocks after each token, and the numpy
-engine before materialising a block — a decompression bomb aborts
-after at most one token (≤ 258 bytes) of overshoot, never after
-inflating the whole stream.
+before extending and compressed blocks after each token — a
+decompression bomb aborts after at most one token (≤ 258 bytes) of
+overshoot, never after inflating the whole stream.
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import Optional, Tuple
-
-try:  # numpy accelerates back-reference materialisation; never required
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
 
 from repro.bitio.reader import BitReader
 from repro.deflate.constants import CODE_LENGTH_ORDER, END_OF_BLOCK
@@ -61,7 +49,6 @@ def inflate(
     data: bytes,
     max_output: Optional[int] = None,
     zdict: bytes = b"",
-    engine: str = "auto",
 ) -> bytes:
     """Decode a complete Deflate stream to bytes.
 
@@ -70,11 +57,9 @@ def inflate(
     mid-stream, before the output can grow unboundedly. ``zdict``
     primes the back-reference history, as a preset dictionary (RFC 1950
     FDICT) does — the dictionary bytes are referenceable but not part
-    of the returned payload. ``engine`` selects the block decoder:
-    ``"scalar"``, ``"numpy"`` (gather-based materialisation, requires
-    numpy) or ``"auto"``.
+    of the returned payload.
     """
-    payload, _ = _decode_stream(data, max_output, zdict, engine)
+    payload, _ = _decode_stream(data, max_output, zdict)
     return payload
 
 
@@ -82,7 +67,6 @@ def inflate_with_tail(
     data: bytes,
     max_output: Optional[int] = None,
     zdict: bytes = b"",
-    engine: str = "auto",
 ) -> Tuple[bytes, int]:
     """Like :func:`inflate` but also return the consumed byte count.
 
@@ -90,26 +74,16 @@ def inflate_with_tail(
     ``max_output`` through so the bomb guard holds *before* the
     checksum is ever reached.
     """
-    return _decode_stream(data, max_output, zdict, engine)
+    return _decode_stream(data, max_output, zdict)
 
 
 def _decode_stream(
     data: bytes,
     max_output: Optional[int],
     zdict: bytes,
-    engine: str = "auto",
 ) -> Tuple[bytes, int]:
     """The shared block loop behind :func:`inflate` and
     :func:`inflate_with_tail` (one implementation, two return shapes)."""
-    if engine not in ("auto", "scalar", "numpy"):
-        raise DeflateError(f"unknown inflate engine: {engine!r}")
-    if engine == "numpy" and _np is None:
-        raise DeflateError("inflate engine 'numpy' requires numpy")
-    # "auto" resolves to the scalar path: slice-based copies beat the
-    # gather rounds at zlib block sizes (docs/PERFORMANCE.md).
-    compressed = (
-        _inflate_compressed_np if engine == "numpy" else _inflate_compressed
-    )
     reader = BitReader(data)
     out = bytearray(zdict)
     base = len(out)
@@ -121,10 +95,10 @@ def _decode_stream(
             _inflate_stored(reader, out, limit)
         elif btype == 0b01:
             litlen, dist = _fixed_decoders()
-            compressed(reader, out, litlen, dist, limit)
+            _inflate_compressed(reader, out, litlen, dist, limit)
         elif btype == 0b10:
             litlen, dist = _read_dynamic_tables(reader)
-            compressed(reader, out, litlen, dist, limit)
+            _inflate_compressed(reader, out, litlen, dist, limit)
         else:
             raise DeflateError("reserved block type 11")
         if final:
@@ -479,172 +453,3 @@ def _inflate_compressed_uncapped(
         raise DeflateError(
             "length/distance pair in a block with no distance codes"
         ) from None
-
-
-def _inflate_compressed_np(
-    reader: BitReader,
-    out: bytearray,
-    litlen: HuffmanDecoder,
-    dist: Optional[HuffmanDecoder],
-    limit: Optional[int],
-) -> None:
-    """Numpy engine: decode to token arrays, then gather-materialise.
-
-    Phase 1 runs the same table-driven bit loop as the scalar path but
-    emits (literal bytes, per-match literal-run lengths, match lengths,
-    match distances) instead of touching ``out``. Phase 2 resolves
-    every back-reference with vectorised pointer doubling — the
-    software shape of GPULZ's parallel decode — so no per-match Python
-    loop runs at all. The bomb guard is enforced on the running token
-    totals, before any output is allocated.
-    """
-    data, pos, bitbuf, bitcount = reader.load_state()
-    ltable = litlen._table
-    lmask = litlen.fast_mask
-    lbits = litlen.fast_bits
-    if dist is not None:
-        dtable = dist._table
-        dmask = dist.fast_mask
-        dbits = dist.fast_bits
-    cap = (1 << 63) if limit is None else limit
-    history = len(out)
-    produced = history  # running output size, for distance/limit checks
-
-    lits = bytearray()
-    runs = array("l")       # literals preceding each match
-    lens = array("l")
-    dists = array("l")
-    run = 0                 # literals since the last match
-
-    while True:
-        if bitcount < 48:
-            chunk = data[pos:pos + 16]
-            if chunk:
-                n = len(chunk)
-                bitbuf |= int.from_bytes(chunk, "little") << bitcount
-                pos += n
-                bitcount += n << 3
-            elif bitcount <= 0:
-                raise DeflateError("unexpected end of bitstream")
-        kind, nbits, first, a, b = ltable[bitbuf & lmask]
-        if kind == 4:
-            kind, nbits, first, a, b = ltable[a + ((bitbuf >> lbits) & b)]
-        if kind == 3:
-            # Extra bits sit right after the code: read them from the
-            # unconsumed buffer, then one shift covers code + extras.
-            length = a + ((bitbuf >> first) & b)
-            bitbuf >>= nbits
-            bitcount -= nbits
-        else:
-            bitbuf >>= nbits
-            bitcount -= nbits
-            if kind == 0:
-                lits += a
-                run += b
-                produced += b
-                if produced > cap:
-                    raise DeflateError("output exceeds max_output")
-                continue
-            if kind == 1:
-                length = a
-            elif kind == 2:
-                if bitcount < 0:
-                    raise DeflateError("unexpected end of bitstream")
-                reader.save_state(pos, bitbuf, bitcount)
-                _materialize_np(out, lits, runs, lens, dists)
-                return
-            else:
-                raise DeflateError("undecodable literal/length code")
-        if dist is None:
-            raise DeflateError(
-                "length/distance pair in a block with no distance codes"
-            )
-        kind, nbits, first, a, b = dtable[bitbuf & dmask]
-        if kind == 4:
-            kind, nbits, first, a, b = dtable[a + ((bitbuf >> dbits) & b)]
-        if kind == 3:
-            distance = a + ((bitbuf >> first) & b)
-        elif kind == 1:
-            distance = a
-        else:
-            raise DeflateError("undecodable or invalid distance code")
-        bitbuf >>= nbits
-        bitcount -= nbits
-        if distance > produced:
-            raise DeflateError(
-                f"back-reference distance {distance} precedes output "
-                f"start ({produced} bytes emitted)"
-            )
-        runs.append(run)
-        run = 0
-        lens.append(length)
-        dists.append(distance)
-        produced += length
-        if produced > cap:
-            raise DeflateError("output exceeds max_output")
-
-
-def _grouped_arange(counts):
-    """``[0..counts[0]), [0..counts[1]), ...`` concatenated (numpy)."""
-    np = _np
-    total = int(counts.sum())
-    ends = np.cumsum(counts)
-    return np.arange(total, dtype=counts.dtype) - np.repeat(
-        ends - counts, counts
-    )
-
-
-def _materialize_np(out, lits, runs, lens, dists) -> None:
-    """Append one decoded block to ``out`` by vectorised gather.
-
-    Every output byte's ultimate source is a literal (or history) byte:
-    back-references form chains that pointer doubling collapses in
-    O(log depth) full-array gathers. Overlapping matches
-    (distance < length) are folded first — byte ``k`` of such a match
-    reads ``source + (k mod distance)`` — so no chain ever points
-    *inside* its own match.
-    """
-    np = _np
-    history = len(out)
-    if not lens:
-        out += lits
-        return
-    dtype = np.int64 if history + len(lits) > 0x7FFF0000 else np.int32
-    ctype = np.dtype("l")  # matches array("l") item width on this platform
-    runs_a = np.frombuffer(runs, dtype=ctype).astype(dtype, copy=False)
-    lens_a = np.frombuffer(lens, dtype=ctype).astype(dtype, copy=False)
-    dists_a = np.frombuffer(dists, dtype=ctype).astype(dtype, copy=False)
-    total = len(lits) + int(lens_a.sum())
-
-    buf = np.empty(history + total, np.uint8)
-    if history:
-        buf[:history] = np.frombuffer(out, np.uint8)
-
-    # Literal destinations: run i sits between match i-1 and match i,
-    # plus the trailing run after the last match.
-    tail = len(lits) - int(runs_a.sum())
-    all_runs = np.concatenate([runs_a, np.asarray([tail], dtype)])
-    steps = np.concatenate([runs_a + lens_a, np.asarray([tail], dtype)])
-    run_starts = history + np.cumsum(steps) - steps
-    lit_dst = (np.repeat(run_starts, all_runs)
-               + _grouped_arange(all_runs))
-    buf[lit_dst] = np.frombuffer(lits, np.uint8)
-
-    # Match byte destinations and (overlap-folded) sources.
-    match_starts = run_starts[:-1] + runs_a
-    offsets = _grouped_arange(lens_a) % np.repeat(dists_a, lens_a)
-    match_dst = (np.repeat(match_starts, lens_a)
-                 + _grouped_arange(lens_a))
-    match_src = np.repeat(match_starts - dists_a, lens_a) + offsets
-
-    # Pointer doubling: F maps every byte to its source; literals and
-    # history map to themselves, so chains shrink geometrically until
-    # every position resolves to a self-mapped one.
-    source = np.arange(history + total, dtype=dtype)
-    source[match_dst] = match_src
-    while True:
-        folded = source[source]
-        if np.array_equal(folded, source):
-            break
-        source = folded
-    out += buf[source][history:].tobytes()

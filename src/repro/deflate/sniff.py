@@ -120,10 +120,9 @@ def incompressible_from_signals(
 ) -> bool:
     """The stored-bypass verdict from already-computed signals.
 
-    Split out so a caller that measured the signals once (the per-shard
-    router probe, :func:`repro.lzss.router.probe_shard`) can reuse them
-    for the bypass decision instead of sniffing the shard a second
-    time. Must stay the single source of the thresholds:
+    Split out so a caller that measured the signals once (the per-chunk
+    probe, :func:`repro.lzss.router.probe_shard`) can keep them in its
+    decision record. Must stay the single source of the thresholds:
     :func:`looks_incompressible` and the router probe agree by
     construction because both call here.
     """

@@ -117,8 +117,8 @@ class ZLibCompressor:
     """LZSS + Huffman + ZLib framing with the paper's parameter set.
 
     ``backend="traced"`` (default) keeps the instrumented reproduction
-    path so ``ZLibResult.lzss.trace`` feeds the cost models; ``"fast"``,
-    ``"vector"`` and ``"sa"`` are the trace-free production tokenizers.
+    path so ``ZLibResult.lzss.trace`` feeds the cost models; ``"fast"``
+    and ``"sa"`` are the trace-free production tokenizers.
     The removed ``trace=`` boolean raises
     :class:`~repro.errors.ConfigError`; knob resolution goes through
     :class:`repro.api.CompressRequest`.

@@ -55,7 +55,6 @@ def add_compression_options(
     parser: argparse.ArgumentParser,
     *,
     strategy: bool = True,
-    route: bool = False,
     sampling: bool = False,
     zdict: bool = True,
     refine: bool = True,
@@ -63,17 +62,18 @@ def add_compression_options(
     """The shared compression flag set for every compressing subcommand.
 
     ``compress``, ``pcompress``, ``batch`` and ``serve`` all accept the
-    same core knobs — one profile, one backend vocabulary, one routing
-    and preset-dictionary surface — so the flags are defined once here
+    same core knobs — one profile, one backend vocabulary, one
+    preset-dictionary surface — so the flags are defined once here
     and each command opts out of the few that its engine does not take
     (batch has no block strategy; sampling flags are pcompress-only).
 
     --backend: which tokenizer runs. ``fast`` is the trace-free
-    pure-Python hot path; ``vector`` the numpy batch kernel; ``sa`` the
-    suffix-array matcher of the ``best`` profile (decode-identical,
-    ratio >= the hash-chain parse); ``auto`` picks the fastest
-    available; ``traced`` the instrumented reproduction path. All but
-    ``sa`` emit identical bytes — see docs/PERFORMANCE.md.
+    pure-Python hot path; ``sa`` the suffix-array matcher of the
+    ``best`` profile (decode-identical, ratio >= the hash-chain parse);
+    ``auto`` picks the fastest (``fast``; the batch command's packed
+    kernel where it applies); ``traced`` the instrumented reproduction
+    path. All but ``sa`` emit identical bytes — see
+    docs/PERFORMANCE.md.
 
     --strategy: block entropy coding. ``fixed`` is the paper's hardware
     path (default), ``dynamic`` transmits per-block optimal tables,
@@ -84,10 +84,10 @@ def add_compression_options(
     re-parse each block scored by its emerging Huffman code lengths
     (``best`` turns it on; --no-refine switches it off for A/B runs).
 
-    --route / --probe-*: per-shard backend routing
-    (:mod:`repro.lzss.router`); ``sampling`` adds the traced-sampling
-    policy flags (pcompress only — the serial command has one shard, so
-    ``--backend traced`` covers it).
+    --trace-fraction / --trace-seed: the traced-sampling policy
+    (:mod:`repro.lzss.router`), added with ``sampling`` (pcompress only
+    — the serial command has one shard, so ``--backend traced`` covers
+    it).
 
     --zdict: preset-dictionary file (RFC 1950 FDICT framing): the
     file's bytes prime the window and the stream carries the DICTID, so
@@ -106,9 +106,9 @@ def add_compression_options(
         "--backend", default=None,
         choices=[*BACKEND_NAMES, "auto"],
         help="tokenizer backend: trace-free pure-Python (fast, default), "
-        "numpy batch kernel (vector), suffix-array matcher (sa; decode-"
-        "identical, best ratio), best available (auto), or the "
-        "instrumented reproduction path (traced)",
+        "suffix-array matcher (sa; decode-identical, best ratio), "
+        "fastest available (auto), or the instrumented reproduction "
+        "path (traced)",
     )
     if strategy:
         parser.add_argument(
@@ -125,8 +125,8 @@ def add_compression_options(
             help="re-parse each adaptive block scored by its own Huffman "
             "code lengths (the best profile's setting; default off)",
         )
-    if route:
-        _add_route_flags(parser, sampling=sampling)
+    if sampling:
+        _add_sampling_flags(parser)
     if zdict:
         _add_zdict_flag(parser)
 
@@ -160,52 +160,18 @@ def _add_block_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_route_flags(parser: argparse.ArgumentParser,
-                     sampling: bool = False) -> None:
-    """Per-shard routing knobs (see :mod:`repro.lzss.router`).
-
-    ``--route static`` (default) resolves ``--backend`` once for the
-    whole run; ``--route probe`` decides ``auto`` per shard from a
-    cheap statistical probe (entropy + sampled match density), sending
-    match-poor shards to the vector kernel and match-rich shards to the
-    scalar path. The thresholds are exposed for A/B runs. ``sampling``
-    additionally adds the traced-sampling policy flags (pcompress only
-    — the serial command has a single shard, so ``--backend traced``
-    covers it).
-    """
-    from repro.lzss.router import (
-        ROUTE_ENTROPY_BITS,
-        ROUTE_MATCH_DENSITY,
-        ROUTE_MODES,
-    )
-
+def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
+    """Traced-sampling policy flags (see :mod:`repro.lzss.router`)."""
     parser.add_argument(
-        "--route", default=None, choices=list(ROUTE_MODES),
-        help="backend routing: resolve --backend once (static, default) "
-        "or probe each shard and pick vector/fast per shard (probe; "
-        "only meaningful with --backend auto)",
+        "--trace-fraction", type=float, default=None,
+        help="route this fraction of shards through the traced "
+        "backend for live cycle-model calibration (default 0.0)",
     )
     parser.add_argument(
-        "--probe-entropy-bits", type=float, default=None,
-        help="probe threshold: route to vector only when sampled "
-        f"entropy >= this many bits/byte (default {ROUTE_ENTROPY_BITS})",
+        "--trace-seed", type=int, default=None,
+        help="seed for the deterministic traced-sampling policy "
+        "(default 0; same seed + fraction -> same shards sampled)",
     )
-    parser.add_argument(
-        "--probe-match-density", type=float, default=None,
-        help="probe threshold: route to vector only when sampled match "
-        f"density <= this fraction (default {ROUTE_MATCH_DENSITY})",
-    )
-    if sampling:
-        parser.add_argument(
-            "--trace-fraction", type=float, default=None,
-            help="route this fraction of shards through the traced "
-            "backend for live cycle-model calibration (default 0.0)",
-        )
-        parser.add_argument(
-            "--trace-seed", type=int, default=None,
-            help="seed for the deterministic traced-sampling policy "
-            "(default 0; same seed + fraction -> same shards sampled)",
-        )
 
 
 def _add_zdict_flag(parser: argparse.ArgumentParser) -> None:
@@ -370,8 +336,8 @@ def _cmd_compress(args: argparse.Namespace) -> int:
         hash_spec=params.hash_spec if params else None,
         policy=params.policy if params else None,
     )
-    # One resolution pass decides the dispatch (adaptive vs one-shot)
-    # and the probe policy; the engines re-resolve the same request.
+    # One resolution pass decides the dispatch (adaptive vs one-shot);
+    # the engines re-resolve the same request.
     resolved = CompressRequest(
         profile=args.profile, strategy=_block_strategy(args),
         backend=args.backend, refine=args.refine, **hw,
@@ -401,24 +367,6 @@ def _cmd_compress(args: argparse.Namespace) -> int:
         print(f"{args.input}: {len(data)} -> {len(stream)} bytes "
               f"(ratio {ratio:.3f}, FDICT) -> {output}")
         return 0
-    if args.route == "probe":
-        # The serial command compresses one buffer, so probe routing
-        # degenerates to a single whole-input decision (index 0).
-        from repro.lzss.router import RouterConfig, route_shard
-
-        config = RouterConfig(
-            route="probe",
-            entropy_bits=(args.probe_entropy_bits
-                          if args.probe_entropy_bits is not None
-                          else RouterConfig().entropy_bits),
-            match_density=(args.probe_match_density
-                           if args.probe_match_density is not None
-                           else RouterConfig().match_density),
-        )
-        decision = route_shard(data, backend=resolved.backend,
-                               policy=resolved.policy, config=config)
-        backend = decision.backend
-        print(f"route: {backend} [{decision.reason}]")
     if resolved.strategy is BlockStrategy.ADAPTIVE:
         stream = zlib_compress_adaptive(
             data, profile=args.profile, backend=backend,
@@ -463,9 +411,6 @@ def _cmd_pcompress(args: argparse.Namespace) -> int:
         sniff=args.sniff,
         refine=args.refine,
         profile=args.profile,
-        route=args.route,
-        probe_entropy_bits=args.probe_entropy_bits,
-        probe_match_density=args.probe_match_density,
         trace_fraction=args.trace_fraction,
         trace_seed=args.trace_seed,
         zdict=_read_zdict(args),
@@ -504,9 +449,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         backend=args.backend,
         refine=args.refine,
         profile=args.profile,
-        route=args.route,
-        probe_entropy_bits=args.probe_entropy_bits,
-        probe_match_density=args.probe_match_density,
         zdict=_read_zdict(args),
     )
     if args.self_test:
@@ -755,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
     compress_parser.add_argument("--window", type=int)
     compress_parser.add_argument("--hash-bits", type=int)
     compress_parser.add_argument("--gen-bits", type=int)
-    add_compression_options(compress_parser, route=True)
+    add_compression_options(compress_parser)
     _add_block_flags(compress_parser)
     compress_parser.set_defaults(func=_cmd_compress)
 
@@ -832,7 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
     pcompress_parser.add_argument("--window", type=int)
     pcompress_parser.add_argument("--hash-bits", type=int)
     pcompress_parser.add_argument("--gen-bits", type=int)
-    add_compression_options(pcompress_parser, route=True, sampling=True)
+    add_compression_options(pcompress_parser, sampling=True)
     _add_block_flags(pcompress_parser)
     pcompress_parser.set_defaults(func=_cmd_pcompress)
 
@@ -874,7 +816,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--format", default="zlib",
                               choices=["zlib", "gzip"],
                               help="self-test stream format")
-    add_compression_options(serve_parser, route=True)
+    add_compression_options(serve_parser)
     serve_parser.set_defaults(func=_cmd_serve)
 
     decompress_parser = sub.add_parser(

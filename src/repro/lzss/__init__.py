@@ -9,10 +9,10 @@ Key entry points:
 
 * :class:`LZSSCompressor` / :func:`compress_tokens` — token stream
   production with selectable :class:`MatchPolicy` (greedy or lazy);
-  ``backend=`` selects the tokenizer (``traced``, the pure-Python
-  ``fast`` path, the numpy ``vector`` kernel — those three are
-  bit-identical — or the suffix-array ``sa`` exact matcher, which
-  trades token identity for ratio; see :mod:`repro.lzss.backends`).
+  ``backend=`` selects the tokenizer (``traced`` or the pure-Python
+  ``fast`` path — the two are bit-identical — or the suffix-array
+  ``sa`` exact matcher, which trades token identity for ratio; see
+  :mod:`repro.lzss.backends`).
 * :func:`decompress_tokens` — token stream back to bytes.
 * :class:`TokenArray` — compact token storage.
 * :class:`MatchTrace` — per-token search cost record consumed by the
@@ -34,14 +34,12 @@ from repro.lzss.compressor import LZSSCompressor, CompressResult, compress_token
 from repro.lzss.decompressor import decompress_tokens
 from repro.lzss.fast import compress_fast
 from repro.lzss.sa import compress_sa
-from repro.lzss.vector import compress_vector
 from repro.lzss import backends
 from repro.lzss.trace import MatchTrace
 
 __all__ = [
     "backends",
     "compress_sa",
-    "compress_vector",
     "Literal",
     "Match",
     "Token",

@@ -1,6 +1,6 @@
-"""Tokenizer backend registry: ``traced`` / ``fast`` / ``vector`` / ``sa``.
+"""Tokenizer backend registry: ``traced`` / ``fast`` / ``sa``.
 
-The library grew four longest-match tokenizers:
+The library has three longest-match tokenizers:
 
 * ``traced`` — the instrumented reproduction path
   (:class:`repro.lzss.compressor.LZSSCompressor`'s in-class parsers),
@@ -8,32 +8,27 @@ The library grew four longest-match tokenizers:
   hardware and software cost models consume;
 * ``fast`` — the trace-free pure-Python production path
   (:func:`repro.lzss.fast.compress_fast`);
-* ``vector`` — the numpy batch kernel
-  (:func:`repro.lzss.vector.compress_vector`), the software analogue of
-  the paper's widened compare datapath;
 * ``sa`` — the suffix-array exact matcher
   (:func:`repro.lzss.sa.compress_sa`), the ratio backend the ``best``
   profile selects.
 
-``traced``/``fast``/``vector`` produce bit-identical token streams.
-``sa`` deliberately does not: it answers longest-match queries exactly
-where hash chains stop at ``max_chain`` candidates, so its contract is
+``traced`` and ``fast`` produce bit-identical token streams. ``sa``
+deliberately does not: it answers longest-match queries exactly where
+hash chains stop at ``max_chain`` candidates, so its contract is
 round-trip identity and no-worse pricing, not token identity (see
 :mod:`repro.lzss.sa`).
 
 This module is the single place that names them. Every ``backend=``
 parameter in the library accepts one of :data:`BACKEND_NAMES` plus
-``"auto"``, and resolves it here. Resolution is *total*: asking for
-``"vector"`` on a machine without a usable numpy, or with a policy the
-vector kernel does not support, silently degrades to ``"fast"`` — the
-output bytes are identical by the differential-test contract, so the
-fallback is unobservable except in speed. ``sa`` never leaves the
-registry: without numpy it runs its pure-Python doubling builder
-(slower, smaller search history, still exact within that history). An
-unknown name raises :class:`~repro.errors.ConfigError`.
+``"auto"``, and resolves it here; ``auto`` is ``fast``. ``sa`` never
+leaves the registry: without numpy it runs its pure-Python doubling
+builder (slower, smaller search history, still exact within that
+history). An unknown name raises :class:`~repro.errors.ConfigError`.
 
-The numpy probe runs per call (no caching): test suites block numpy via
-``sys.modules`` monkeypatching to exercise the fallback path, and a
+The numpy kernels that remain — the ``sa`` builder and the packed
+batch kernels of :mod:`repro.lzss.batch` — gate on :func:`_numpy_usable`.
+It probes per call (no caching): test suites block numpy via
+``sys.modules`` monkeypatching to exercise the fallback paths, and a
 cached probe would leak state between tests.
 """
 
@@ -46,7 +41,7 @@ from repro.errors import ConfigError
 #: Concrete backend names, in oracle-to-fastest-to-strongest order.
 #: ``"auto"`` is accepted by :func:`resolve` but is never a concrete
 #: backend.
-BACKEND_NAMES: Tuple[str, ...] = ("traced", "fast", "vector", "sa")
+BACKEND_NAMES: Tuple[str, ...] = ("traced", "fast", "sa")
 
 #: Oldest numpy the accelerated kernels are tested against (needs stable
 #: ``np.frombuffer``/``sliding-window`` semantics and uint64 sorts).
@@ -68,50 +63,28 @@ def _numpy_usable() -> bool:
 
 
 def available() -> Tuple[str, ...]:
-    """The backends usable on this machine, probe evaluated per call.
+    """The backends usable on this machine: all of them, always.
 
-    ``traced``, ``fast`` and ``sa`` are always present (``sa`` carries
-    its own pure-Python builder); ``vector`` appears only when the
-    numpy probe passes.
+    ``sa`` carries its own pure-Python builder, so no backend depends
+    on numpy being installed.
     """
-    if _numpy_usable():
-        return BACKEND_NAMES
-    return ("traced", "fast", "sa")
+    return BACKEND_NAMES
 
 
 def resolve(backend: str, policy=None) -> str:
     """Map a requested backend (or ``"auto"``) to a concrete one.
 
-    ``auto`` picks the fastest backend for the given policy: the vector
-    kernel for greedy insert-all policies (the configuration the batch
-    kernel is built for — see :func:`repro.lzss.vector.supports`),
-    ``fast`` otherwise — never ``sa``, which trades speed for ratio and
-    must be asked for (directly or via the ``best`` profile).
-    ``vector`` degrades silently to ``fast`` when numpy is unusable or
-    the policy is unsupported; the token output is identical either
-    way. ``sa`` supports every policy and both builders, so it always
-    resolves to itself.
+    ``auto`` is ``fast`` — never ``sa``, which trades speed for ratio
+    and must be asked for (directly or via the ``best`` profile). ``sa``
+    falls back to ``fast`` only for a policy it cannot serve.
     """
     if backend == "auto":
-        if _numpy_usable() and policy is not None and not policy.lazy:
-            from repro.lzss.vector import supports
-
-            if supports(policy):
-                return "vector"
         return "fast"
     if backend not in BACKEND_NAMES:
         raise ConfigError(
             f"unknown backend {backend!r}: expected one of "
             f"{', '.join(BACKEND_NAMES)} or 'auto'"
         )
-    if backend == "vector":
-        if not _numpy_usable():
-            return "fast"
-        if policy is not None:
-            from repro.lzss.vector import supports
-
-            if not supports(policy):
-                return "fast"
     if backend == "sa" and policy is not None:
         from repro.lzss.sa import supports as sa_supports
 
@@ -132,12 +105,7 @@ def registry() -> Dict[str, Callable]:
     from repro.lzss.fast import compress_fast
     from repro.lzss.sa import compress_sa
 
-    table: Dict[str, Callable] = {"fast": compress_fast, "sa": compress_sa}
-    if _numpy_usable():
-        from repro.lzss.vector import compress_vector
-
-        table["vector"] = compress_vector
-    return table
+    return {"fast": compress_fast, "sa": compress_sa}
 
 
 def tokenizer(backend: str, policy=None) -> Tuple[str, Optional[Callable]]:

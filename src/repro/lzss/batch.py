@@ -25,9 +25,9 @@ packing contract:
 
 Greedy insert-all policies replay all segments in lockstep
 (:func:`repro.lzss.vector.replay_greedy_lockstep`); lazy policies fall
-back to the per-segment scalar replay, and unsupported policies or a
+back to the per-segment scalar replay, and partial-insert policies or a
 missing numpy tokenize each payload with the scalar ``fast`` kernel —
-same bytes, no batching win.
+same bytes, no batching win (:func:`packed_kernel_applies`).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from repro.lzss.tokens import MAX_MATCH, MIN_MATCH, TokenArray
 
 #: The batch engine's default matching policy: greedy, insert-all, one
 #: chain probe per position. Insert-all makes the chain topology
-#: parse-independent (the vector kernel's requirement) and a single
+#: parse-independent (the packed kernels' requirement) and a single
 #: chain round keeps the batched pass one `_batch_matches` sweep; the
 #: ratio loss against deeper chains is recovered by the shared dynamic
 #: Huffman plans (measured on the templated-JSON corpus: batch default
@@ -111,10 +111,6 @@ def _tokenize_one(data, window_size, hash_spec, policy, backend: str):
         return LZSSCompressor(
             window_size, hash_spec, policy, backend="traced"
         ).compress(bytes(data)).tokens
-    if backend == "vector":
-        from repro.lzss.vector import compress_vector
-
-        return compress_vector(bytes(data), window_size, hash_spec, policy)
     from repro.lzss.fast import compress_fast
 
     return compress_fast(bytes(data), window_size, hash_spec, policy)
@@ -223,6 +219,22 @@ def _tokenize_packed(
     return tokens
 
 
+def packed_kernel_applies(policy: Optional[MatchPolicy]) -> bool:
+    """Whether the packed kernels can tokenize a batch under ``policy``.
+
+    They need numpy and an insert-all policy: every position enters the
+    hash table (all lazy policies, and greedy with ``max_insert_length
+    >= MAX_MATCH``), so the chains do not depend on parse decisions and
+    can be built in one sort. ``None`` stands for
+    :data:`BATCH_GREEDY_POLICY`.
+    """
+    from repro.lzss.backends import _numpy_usable
+
+    policy = policy or BATCH_GREEDY_POLICY
+    insert_all = policy.lazy or policy.max_insert_length >= MAX_MATCH
+    return bool(insert_all) and _numpy_usable()
+
+
 def tokenize_batch(
     payloads: Sequence[bytes],
     window_size: int = 4096,
@@ -233,24 +245,23 @@ def tokenize_batch(
 ) -> List[TokenArray]:
     """Tokenise every payload, batched where the kernel allows it.
 
-    ``backend`` follows the registry semantics
-    (:func:`repro.lzss.backends.resolve`): ``"vector"``/``"auto"`` run
-    the packed single-pass kernel when numpy is present and the policy
-    is insert-all; anything else degrades to the scalar per-payload
-    loop with identical output bytes. ``dictionary`` (already trimmed
-    to the window, see :func:`effective_dictionary`) primes every
-    payload's window.
+    ``"auto"`` runs the packed single-pass kernel when
+    :func:`packed_kernel_applies`, and the scalar ``fast`` kernel per
+    payload otherwise; a concrete backend name
+    (:func:`repro.lzss.backends.resolve`) tokenizes each payload with
+    that backend. Output bytes are identical either way.
+    ``dictionary`` (already trimmed to the window, see
+    :func:`effective_dictionary`) primes every payload's window.
     """
     hash_spec = hash_spec or HashSpec()
     policy = policy or BATCH_GREEDY_POLICY
     if not payloads:
         return []
-    requested = "vector" if backend == "auto" else backend
-    concrete = resolve(requested, policy)
-    if concrete == "vector":
+    if backend == "auto" and packed_kernel_applies(policy):
         return _tokenize_packed(
             payloads, dictionary, window_size, hash_spec, policy
         )
+    concrete = resolve(backend, policy)
     return [
         tokenize_scalar(p, dictionary, window_size, hash_spec, policy,
                         concrete)

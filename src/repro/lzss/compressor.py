@@ -15,7 +15,7 @@ what the software cost model consumes.
 
 Callers that only want tokens out (the production compressors in
 :mod:`repro.deflate` and :mod:`repro.parallel`) select a trace-free
-backend (``backend="fast"``, ``"vector"`` or ``"sa"``, see
+backend (``backend="fast"`` or ``"sa"``, see
 :mod:`repro.lzss.backends`): compression dispatches to the registered
 tokenizer and ``CompressResult.trace`` is ``None``. The removed
 ``trace=`` boolean now raises :class:`~repro.errors.ConfigError` with
@@ -54,8 +54,7 @@ class CompressResult:
 
     ``trace`` is ``None`` when the pass ran on a trace-free backend;
     the cost models require a traced pass. ``backend`` records the
-    concrete backend that actually ran (after ``auto`` resolution and
-    any silent vector -> fast fallback).
+    concrete backend that actually ran (after ``auto`` resolution).
     """
 
     tokens: TokenArray
@@ -86,9 +85,8 @@ class LZSSCompressor:
     backend:
         Which tokenizer runs (see :mod:`repro.lzss.backends`):
         ``"traced"`` (default) records a :class:`MatchTrace` for the
-        cost models; ``"fast"``, ``"vector"`` and ``"sa"`` are the
-        trace-free production paths; ``"auto"`` picks the fastest
-        available for the policy.
+        cost models; ``"fast"`` and ``"sa"`` are the trace-free
+        production paths; ``"auto"`` is ``"fast"``.
     profile:
         A preset name or :class:`~repro.profile.CompressionProfile`;
         explicit keyword arguments win over its fields

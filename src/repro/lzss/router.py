@@ -1,51 +1,38 @@
-"""Workload-adaptive per-shard backend routing (the ``auto`` decision).
+"""Per-chunk decisions: stored-bypass probe, traced sampling, batch kernel.
 
-``BENCH_matcher.json`` tells a two-sided story: the numpy vector kernel
-is ~2.2x faster than the scalar ``fast`` path on incompressible input
-(the paper's worst case, where per-position overhead dominates) but
-4-6x *slower* on match-rich data (long matches amortise the scalar loop
-to one iteration per match, while the batched kernel still pays its
-per-position array passes). A ``backend="auto"`` that resolves
-statically therefore wins one workload and loses the other — the exact
-mispricing the paper's fixed-function datapath avoids by construction
-(its compare width is sized for the worst case and the data cannot
-change it). Software can do better: *measure* each shard and route it.
+Every compressing entry point makes the same small decisions for each
+chunk (stream write, shard, or packed batch) it tokenizes, and this
+module is where they are made:
 
-This module is that decision point:
-
-* :func:`probe_shard` — a cheap statistical probe (O(sample), not
-  O(shard)): the stored-bypass entropy/trigram sniff of
-  :mod:`repro.deflate.sniff`, extended with a sampled-match-density
-  estimate over strided probe windows. One probe serves both consumers
-  — the stored bypass *and* the router — so the shard is never sniffed
-  twice.
-* :func:`route_shard` — maps one shard to a concrete backend. In
-  ``probe`` mode an ``auto`` shard goes to ``vector`` only when the
-  probe says "match-poor" (high entropy, almost no recurring trigrams);
-  everything else runs ``fast``. Shards the vector kernel cannot serve
-  (no usable numpy, unsupported policy) route to ``fast`` unconditionally,
-  which is why the probe is safe to leave on in the no-numpy CI job.
+* :func:`probe_shard` — the stored-bypass probe: the entropy/trigram
+  sniff of :mod:`repro.deflate.sniff` over a sample of the chunk
+  (O(sample), not O(chunk)), packaged as a :class:`ShardProbe` whose
+  :attr:`~ShardProbe.incompressible` verdict sends the chunk straight to
+  stored blocks.
+* :func:`route_shard` — the backend one chunk runs: the caller's
+  backend, resolved through :func:`repro.lzss.backends.resolve`, unless
+  the traced-sampling policy picks the chunk.
 * :func:`should_trace` — a deterministic, seedable sampling policy that
-  diverts a configurable fraction of shards through the instrumented
-  ``traced`` backend. Sampled shards produce the
+  diverts a configurable fraction of chunks through the instrumented
+  ``traced`` backend. Sampled chunks produce the
   :class:`~repro.lzss.trace.MatchTrace` the hardware cycle model
-  consumes, which the parallel engine folds into
+  consumes, which the stream and parallel engines fold into
   :mod:`repro.estimator.calibration` as live calibration points.
+* :func:`route_batch` — which kernel a packed batch of small payloads
+  runs (:mod:`repro.lzss.batch`): the packed numpy kernels for ``auto``
+  when they apply, the scalar per-payload loop otherwise.
 
-Routing never changes output bytes: every backend it chooses between
-(``traced``/``fast``/``vector``) is bit-identical by the
-differential-test contract (``tests/lzss/test_router.py`` holds the
-line per decision), so the router moves only wall-clock, exactly like
-the stored bypass before it. A shard that *requests* ``backend="sa"``
-(the exact suffix-array matcher, which is deliberately not
-bit-identical) always runs ``sa``: it resolves statically and is
-exempt from traced sampling.
+No decision changes output bytes: ``traced`` and ``fast`` are
+bit-identical by the differential-test contract, and so are the packed
+batch kernels. A chunk that asks for ``backend="sa"`` (the exact
+suffix-array matcher, deliberately not bit-identical) always runs
+``sa`` and is exempt from traced sampling.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.deflate.sniff import (
@@ -56,202 +43,74 @@ from repro.deflate.sniff import (
 )
 from repro.errors import ConfigError
 
-#: Routing modes: ``static`` resolves the backend once per stream (the
-#: pre-router behaviour), ``probe`` decides per shard from the probe.
-ROUTE_MODES = ("static", "probe")
-
-#: Probe mode sends an ``auto`` shard to ``vector`` only above this
-#: order-0 entropy (bits/byte). Incompressible data measures ~7.99;
-#: the match-rich workloads the scalar loop wins sit at 4-7.
-ROUTE_ENTROPY_BITS = 7.4
-
-#: ... and only below this sampled match density (fraction of probe
-#: trigrams that recur). Random data measures ~0.004; text, logs and
-#: even half-noise mixtures measure 0.2+.
-ROUTE_MATCH_DENSITY = 0.10
-
-#: Shards shorter than this skip the probe entirely and run ``fast``.
-#: The probe's fixed cost (entropy sample + trigram windows) is priced
-#: against a *large* shard's tokenization; on a sub-4 KiB payload it is
-#: a double-digit fraction of the whole job, and the vector kernel has
-#: nothing to win there anyway — its per-call setup dominates exactly
-#: like the probe does. (The batched engine in :mod:`repro.batch` is
-#: the right tool below the floor: it probes the packed batch once.)
-PROBE_MIN_BYTES = 4096
-
-#: Length of each match-density probe window.
-DENSITY_PROBE_BYTES = 2048
-
-#: Number of strided match-density probe windows.
-DENSITY_PROBE_WINDOWS = 3
-
-
-def sampled_match_density(
-    data,
-    probe_bytes: int = DENSITY_PROBE_BYTES,
-    windows: int = DENSITY_PROBE_WINDOWS,
-) -> float:
-    """Mean recurring-trigram fraction over strided probe windows.
-
-    Unlike :func:`~repro.deflate.sniff.trigram_repeat_fraction` (which
-    returns the *worst* window, the right shape for a veto), this is a
-    *density* estimate: the mean over ``windows`` short windows strided
-    across the shard. A recurring trigram is exactly what seeds an LZSS
-    match, so the mean approximates the fraction of positions the
-    tokenizer will resolve as match extensions — the quantity that
-    decides whether the scalar loop (few long matches) or the batched
-    kernel (no matches at all) wins.
-
-    >>> sampled_match_density(b"abcabcabcabcabc") > 0.5
-    True
-    >>> sampled_match_density(bytes(range(256))) == 0.0
-    True
-    """
-    data = bytes(data)
-    n = len(data)
-    if n < 3:
-        return 0.0
-    span = max(1, windows - 1)
-    starts = sorted({
-        min(max(0, (n - probe_bytes) * k // span), max(0, n - probe_bytes))
-        for k in range(windows)
-    })
-    total_positions = 0
-    total_repeats = 0
-    for start in starts:
-        window = data[start:start + probe_bytes]
-        positions = len(window) - 2
-        if positions <= 0:
-            continue
-        seen = set()
-        repeats = 0
-        for i in range(positions):
-            trigram = window[i:i + 3]
-            if trigram in seen:
-                repeats += 1
-            else:
-                seen.add(trigram)
-        total_positions += positions
-        total_repeats += repeats
-    if total_positions == 0:
-        return 0.0
-    return total_repeats / total_positions
-
 
 @dataclass(frozen=True)
 class ShardProbe:
-    """One shard's probe signals, computed once and shared.
-
-    ``match_density`` is ``None`` when the probe was taken for the
-    stored bypass only (static routing needs no density estimate);
-    :meth:`with_density` fills it in lazily if the router later needs
-    it.
-    """
+    """One chunk's stored-bypass signals, computed once."""
 
     input_bytes: int
     entropy_bits: float
     trigram_repeat: float
-    match_density: Optional[float] = None
 
     @property
     def incompressible(self) -> bool:
-        """The stored-bypass verdict, from the shared signals."""
+        """The stored-bypass verdict, from the sampled signals."""
         return incompressible_from_signals(
             self.input_bytes, self.entropy_bits, self.trigram_repeat
         )
 
-    def with_density(self, data) -> "ShardProbe":
-        """This probe with ``match_density`` computed (idempotent)."""
-        if self.match_density is not None:
-            return self
-        return replace(self, match_density=sampled_match_density(data))
 
+def probe_shard(data) -> ShardProbe:
+    """Probe one chunk: sampled entropy and trigram repeats.
 
-def probe_shard(data, match_density: bool = True) -> ShardProbe:
-    """Probe one shard: entropy, trigram repeats, match density.
-
-    O(sample) regardless of shard size (strided entropy sample plus a
-    handful of short contiguous windows); on a 1 MiB shard the whole
-    probe costs single-digit milliseconds against a tokenization in the
-    hundreds. ``match_density=False`` skips the density windows when
-    only the stored-bypass signals are needed.
+    O(sample) regardless of chunk size (a strided entropy sample plus a
+    few short contiguous windows); on a 1 MiB shard the probe costs
+    single-digit milliseconds against a tokenization in the hundreds.
     """
     view = memoryview(data)
-    probe = ShardProbe(
+    return ShardProbe(
         input_bytes=len(view),
         entropy_bits=sampled_entropy_bits(view, SNIFF_SAMPLE_BYTES),
         trigram_repeat=trigram_repeat_fraction(view),
     )
-    if match_density:
-        probe = probe.with_density(view)
-    return probe
 
 
 @dataclass(frozen=True)
 class RouterConfig:
-    """Per-shard routing and traced-sampling policy (frozen, picklable).
+    """The traced-sampling policy (frozen, picklable).
 
-    ``route`` selects the mode; the two thresholds gate the probe
-    decision; ``trace_fraction``/``trace_seed`` drive the deterministic
-    traced-sampling policy (see :func:`should_trace`).
+    ``trace_fraction``/``trace_seed`` drive :func:`should_trace`.
 
-    >>> RouterConfig(route="probe").route
-    'probe'
-    >>> RouterConfig(route="adaptive")
+    >>> RouterConfig(trace_fraction=0.25).trace_fraction
+    0.25
+    >>> RouterConfig(trace_fraction=2.0)
     Traceback (most recent call last):
         ...
-    repro.errors.ConfigError: unknown route 'adaptive': expected one of static, probe
+    repro.errors.ConfigError: trace_fraction must be in [0, 1]: 2.0
     """
 
-    route: str = "static"
-    entropy_bits: float = ROUTE_ENTROPY_BITS
-    match_density: float = ROUTE_MATCH_DENSITY
     trace_fraction: float = 0.0
     trace_seed: int = 0
-    probe_min_bytes: int = PROBE_MIN_BYTES
 
     def __post_init__(self) -> None:
-        if self.route not in ROUTE_MODES:
-            raise ConfigError(
-                f"unknown route {self.route!r}: expected one of "
-                f"{', '.join(ROUTE_MODES)}"
-            )
-        if self.probe_min_bytes < 0:
-            raise ConfigError(
-                f"probe_min_bytes must be >= 0: {self.probe_min_bytes}"
-            )
         if not 0.0 <= self.trace_fraction <= 1.0:
             raise ConfigError(
                 f"trace_fraction must be in [0, 1]: {self.trace_fraction}"
             )
-        if not 0.0 <= self.entropy_bits <= 8.0:
-            raise ConfigError(
-                f"entropy_bits must be in [0, 8]: {self.entropy_bits}"
-            )
-        if not 0.0 <= self.match_density <= 1.0:
-            raise ConfigError(
-                f"match_density must be in [0, 1]: {self.match_density}"
-            )
-
-    @property
-    def active(self) -> bool:
-        """Whether any per-shard decision differs from plain ``static``."""
-        return self.route != "static" or self.trace_fraction > 0.0
 
 
 @dataclass(frozen=True)
 class RoutingDecision:
-    """One shard's routing outcome, surfaced in shard stats.
+    """One chunk's routing outcome, surfaced in shard and batch stats.
 
-    ``backend`` is the concrete backend the shard ran (``"stored"``
-    when the stored bypass skipped tokenization entirely);
-    ``requested`` is what the caller configured; ``reason`` is a short
-    machine-greppable tag explaining the choice.
+    ``backend`` is the concrete backend the chunk ran (``"stored"``
+    when the stored bypass skipped tokenization, ``"batch"`` for the
+    packed batch kernels); ``requested`` is what the caller configured;
+    ``reason`` is a short machine-greppable tag explaining the choice.
     """
 
     backend: str
     requested: str
-    route: str
     reason: str
     traced_sample: bool = False
     probe: Optional[ShardProbe] = None
@@ -292,21 +151,13 @@ def route_shard(
     index: int = 0,
     probe: Optional[ShardProbe] = None,
 ) -> RoutingDecision:
-    """Decide which concrete backend one shard runs.
+    """Decide which concrete backend one chunk runs.
 
-    Precedence:
-
-    1. the traced-sampling policy (a sampled shard runs ``traced``
-       regardless of the probe — telemetry wins, bytes are identical);
-    2. in ``probe`` mode, an ``auto`` shard follows the probe: ``vector``
-       only when the shard looks match-poor *and* the vector kernel is
-       actually usable for ``policy`` (otherwise ``fast``, which is why
-       a numpy-less machine probe-routes everything to ``fast``);
-    3. otherwise the static registry resolution of
-       :func:`repro.lzss.backends.resolve`.
-
-    A ``probe`` taken earlier (e.g. by the stored bypass) is reused;
-    ``route_shard`` never probes the same shard twice.
+    A chunk picked by the traced-sampling policy runs ``traced``
+    (telemetry wins, bytes are identical); every other chunk runs the
+    static registry resolution of :func:`repro.lzss.backends.resolve`.
+    ``data`` is the chunk itself; a ``probe`` taken earlier by the
+    stored bypass is carried into the decision record.
 
     >>> from repro.lzss.policy import MatchPolicy
     >>> route_shard(b"x" * 100, backend="fast",
@@ -316,7 +167,7 @@ def route_shard(
     from repro.lzss.backends import resolve
 
     config = config or RouterConfig()
-    # Never trace-sample a shard that asked for the suffix-array
+    # Never trace-sample a chunk that asked for the suffix-array
     # matcher: sa is not bit-identical to traced (it finds matches hash
     # chains miss), so diverting it would change output bytes — and its
     # chain-free search has no MatchTrace for the cycle models anyway.
@@ -325,130 +176,54 @@ def route_shard(
         return RoutingDecision(
             backend="traced",
             requested=backend,
-            route=config.route,
             reason="trace-sample",
             traced_sample=True,
-            probe=probe,
-        )
-    if config.route == "probe" and backend == "auto":
-        if resolve("vector", policy) != "vector":
-            return RoutingDecision(
-                backend="fast",
-                requested=backend,
-                route=config.route,
-                reason="vector-unavailable",
-                probe=probe,
-            )
-        if len(data) < config.probe_min_bytes:
-            # Probe cost dominates on small shards, and so does the
-            # vector kernel's per-call setup: route straight to fast.
-            return RoutingDecision(
-                backend="fast",
-                requested=backend,
-                route=config.route,
-                reason="below-probe-floor",
-                probe=probe,
-            )
-        if probe is None:
-            probe = probe_shard(data)
-        else:
-            probe = probe.with_density(data)
-        if (probe.entropy_bits >= config.entropy_bits
-                and probe.match_density is not None
-                and probe.match_density <= config.match_density):
-            return RoutingDecision(
-                backend="vector",
-                requested=backend,
-                route=config.route,
-                reason="probe-match-poor",
-                probe=probe,
-            )
-        return RoutingDecision(
-            backend="fast",
-            requested=backend,
-            route=config.route,
-            reason="probe-match-rich",
             probe=probe,
         )
     return RoutingDecision(
         backend=resolve(backend, policy),
         requested=backend,
-        route=config.route,
         reason="static",
         probe=probe,
     )
 
 
 def route_batch(
-    packed,
+    payloads,
     backend: str = "auto",
     policy=None,
-    config: Optional[RouterConfig] = None,
-    probe: Optional[ShardProbe] = None,
 ) -> RoutingDecision:
-    """One routing decision for a whole packed batch of small payloads.
+    """Which kernel a batch of small payloads runs.
 
-    The batched engine concatenates N payloads before tokenizing, so the
-    probe economics invert relative to :func:`route_shard`: a single
-    probe over the *packed* buffer is amortised across every payload,
-    and the vector kernel's per-call setup is paid once instead of N
-    times. Hence ``auto`` prefers ``vector`` whenever it is usable —
-    the probe only exists to catch the pathological all-incompressible
-    batch, which routes to ``"stored"`` (the caller skips tokenization
-    and stores every payload verbatim).
-
-    ``packed`` is the concatenated payload bytes (a sample is fine; the
-    probe subsamples anyway). Match density is *not* probed: its sliding
-    windows would straddle payload seams and mis-measure.
+    ``auto`` runs the packed numpy kernels (one hash/match sweep over
+    all payloads packed together, the GPULZ-style amortisation)
+    whenever :func:`repro.lzss.batch.packed_kernel_applies` says they
+    can serve ``policy``, and the scalar ``fast`` loop otherwise; a
+    concrete backend tokenizes each payload with that backend. The
+    tokens are bit-identical either way. Batches are never
+    trace-sampled.
     """
     from repro.lzss.backends import resolve
+    from repro.lzss.batch import packed_kernel_applies
 
-    config = config or RouterConfig()
-    if config.route == "probe":
-        if probe is None:
-            probe = probe_shard(packed, match_density=False)
-        if probe.incompressible:
+    if backend == "auto":
+        if packed_kernel_applies(policy):
             return RoutingDecision(
-                backend="stored",
-                requested=backend,
-                route=config.route,
-                reason="batch-incompressible",
-                probe=probe,
+                backend="batch", requested=backend, reason="batch-kernel",
             )
-    if backend in ("auto", "vector"):
-        if resolve("vector", policy) == "vector":
-            return RoutingDecision(
-                backend="vector",
-                requested=backend,
-                route=config.route,
-                reason="batch-vector",
-                probe=probe,
-            )
-        if backend == "auto":
-            return RoutingDecision(
-                backend="fast",
-                requested=backend,
-                route=config.route,
-                reason="vector-unavailable",
-                probe=probe,
-            )
+        return RoutingDecision(
+            backend="fast", requested=backend, reason="kernel-unavailable",
+        )
     return RoutingDecision(
-        backend=resolve(backend, policy),
-        requested=backend,
-        route=config.route,
+        backend=resolve(backend, policy), requested=backend,
         reason="static",
-        probe=probe,
     )
 
 
 def config_from_profile(
     prof,
-    route: Optional[str] = None,
-    probe_entropy_bits: Optional[float] = None,
-    probe_match_density: Optional[float] = None,
     trace_fraction: Optional[float] = None,
     trace_seed: Optional[int] = None,
-    probe_min_bytes: Optional[int] = None,
     router: Optional[RouterConfig] = None,
 ) -> RouterConfig:
     """Build the effective :class:`RouterConfig` for an entry point.
@@ -461,16 +236,6 @@ def config_from_profile(
     if router is not None:
         return router
     return RouterConfig(
-        route=prof.pick("route", route, "static"),
-        entropy_bits=prof.pick(
-            "probe_entropy_bits", probe_entropy_bits, ROUTE_ENTROPY_BITS
-        ),
-        match_density=prof.pick(
-            "probe_match_density", probe_match_density, ROUTE_MATCH_DENSITY
-        ),
         trace_fraction=prof.pick("trace_fraction", trace_fraction, 0.0),
         trace_seed=prof.pick("trace_seed", trace_seed, 0),
-        probe_min_bytes=prof.pick(
-            "probe_min_bytes", probe_min_bytes, PROBE_MIN_BYTES
-        ),
     )

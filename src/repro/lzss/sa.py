@@ -101,19 +101,14 @@ def supports(policy) -> bool:
 
 
 def _numpy_or_none():
-    """Version-gated numpy import (same floor as the vector kernel)."""
-    from repro.lzss.backends import MIN_NUMPY
+    """Version-gated numpy import (the registry's probe), or ``None``."""
+    from repro.lzss.backends import _numpy_usable
 
-    try:
-        import numpy
-    except Exception:
+    if not _numpy_usable():
         return None
-    try:
-        parts = numpy.__version__.split(".")
-        version = (int(parts[0]), int(parts[1]))
-    except (AttributeError, IndexError, ValueError):
-        return None
-    return numpy if version >= MIN_NUMPY else None
+    import numpy
+
+    return numpy
 
 
 def _build_numpy(data: bytes, np):

@@ -1,50 +1,44 @@
-"""NumPy-vectorised longest-match tokenizer (the ``vector`` backend).
+"""NumPy longest-match kernels for packed batches of small payloads.
 
-:mod:`repro.lzss.fast` removes the trace bookkeeping but still walks
-hash chains one candidate at a time in Python bytecode. This module
-widens the datapath instead — the software analogue of the paper's
-32-bit data buses ("1 to 4 bytes during the first clock cycle and
-exactly 4 bytes during each following one", §IV) — by scoring *many*
-chain candidates per NumPy operation:
+:mod:`repro.lzss.batch` packs many small payloads into one buffer and
+tokenizes them all in a single pass with these kernels: the GPULZ-style
+amortisation (arXiv 2304.07342) of one hash/match sweep over many
+payloads. They widen the datapath the way the paper's 32-bit data buses
+do ("1 to 4 bytes during the first clock cycle and exactly 4 bytes
+during each following one", §IV), by scoring *many* chain candidates
+per NumPy operation:
 
 1. **Batched hash computation.** Every position's 3-byte shift-XOR hash
    is computed in one whole-array pass (the paper's hash cache).
-2. **Wholesale chain construction.** For insert-all configurations
-   (every position enters the hash table: all lazy policies, and greedy
-   with ``max_insert_length >= MAX_MATCH``) the chain predecessor of a
-   position is simply the previous position with the same hash. One
-   stable argsort of the hash array yields the entire ``prev`` table —
-   no incremental head/next updates during parsing at all.
+2. **Wholesale chain construction.** For insert-all policies (every
+   position enters the hash table: all lazy policies, and greedy with
+   ``max_insert_length >= MAX_MATCH``) the chain predecessor of a
+   position is simply the previous position with the same hash in the
+   same payload. One sort of the packed ``(segment, hash, position)``
+   keys yields the entire ``prev`` table.
 3. **Batched candidate scoring.** The chain walk runs with the *chain
    step* as the outer loop and all still-searching positions as the
-   inner (vectorised) axis: each round gathers one candidate per active
-   position, screens it with a single 4-byte word compare, extends the
-   survivors in 4-byte strides (cumulative-equality first-mismatch),
-   and applies ZLib's ``good_length``/``nice_length``/budget heuristics
-   as array updates. Positions leave the active set exactly when the
-   scalar walk would have broken out of its loop.
-4. **Sequential replay.** A lean Python loop turns the per-position
-   best matches into the greedy or lazy token stream; with the chains
-   precomputed there is no per-byte insertion work left here.
+   inner (vectorised) axis, applying ZLib's ``good_length``/
+   ``nice_length``/budget heuristics as array updates. Positions leave
+   the active set exactly when the scalar walk would have broken out
+   of its loop.
+4. **Replay.** Greedy policies replay every payload in lockstep
+   (:func:`replay_greedy_lockstep`); lazy policies run
+   :func:`_replay_lazy` per payload.
 
-Token output is **bit-identical** to the traced oracle and the fast
-path for every supported configuration —
-``tests/properties/test_fast_differential.py`` holds the three-way line
-with Hypothesis. Greedy policies with ``max_insert_length < MAX_MATCH``
-(ZLib levels 1-3, the hardware-speed preset) skip hash insertion for
-long matches, so their chain topology depends on parse decisions and
-cannot be precomputed; :func:`supports` reports ``False`` and
-:func:`compress_vector` transparently delegates those to the scalar
-fast kernel.
+Per-payload tokens are **bit-identical** to the scalar ``fast`` kernel
+(``tests/properties/test_batch_differential.py``). Greedy policies with
+``max_insert_length < MAX_MATCH`` skip hash insertion for long matches,
+so their chains depend on parse decisions and cannot be precomputed;
+:mod:`repro.lzss.batch` tokenizes those with the scalar kernel.
 
-This module must import without NumPy present —
-:mod:`repro.lzss.backends` probes availability at runtime and resolves
-``"vector"`` to ``"fast"`` when the probe fails.
+This module must import without NumPy present: the batch engine probes
+availability at runtime and falls back to the scalar kernel.
 """
 
 from __future__ import annotations
 
-try:  # probe-gated: repro.lzss.backends decides whether we are used
+try:  # probe-gated: repro.lzss.batch decides whether we are used
     import numpy as np
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     np = None
@@ -60,82 +54,6 @@ from repro.lzss.tokens import (
 
 #: Same constant as the scalar lazy parsers (ZLib's TOO_FAR).
 _TOO_FAR = 4096
-
-
-def supports(policy) -> bool:
-    """Whether the vectorised kernel applies to ``policy``.
-
-    Lazy parsing inserts every scanned position into the hash table, so
-    the chain topology is parse-independent and precomputable. Greedy
-    parsing only qualifies when ``max_insert_length`` cannot exclude any
-    match from insertion.
-    """
-    return bool(policy.lazy) or policy.max_insert_length >= MAX_MATCH
-
-
-def compress_vector(data, window_size, hash_spec, policy) -> TokenArray:
-    """Tokenise ``data`` with the vectorised matcher.
-
-    Bit-identical to :func:`repro.lzss.fast.compress_fast` (and hence to
-    the traced oracle) for every configuration; unsupported greedy
-    configurations and a missing NumPy delegate to the scalar kernel.
-    """
-    if np is None or not supports(policy):
-        from repro.lzss.fast import compress_fast
-
-        return compress_fast(data, window_size, hash_spec, policy)
-    tokens = TokenArray()
-    n = len(data)
-    if n == 0:
-        return tokens
-    if n < MIN_MATCH + 1:
-        # Too short for any match: all literals, skip the array setup.
-        for byte in data:
-            tokens.append_literal(byte)
-        return tokens
-
-    buf = np.frombuffer(data, dtype=np.uint8)
-    hashes = _hash_all_np(buf, hash_spec)
-    prev_all, rank = _prev_occurrence(hashes)
-    words4 = _words4(buf)
-    max_dist = window_size - MIN_LOOKAHEAD
-    cache = {}  # sub-chain tables, shared between the two lazy passes
-
-    if policy.lazy:
-        full_len, full_dist = _batch_matches(
-            buf, words4, prev_all, rank, n, max_dist,
-            policy.max_chain, policy.good_length, policy.nice_length,
-            cache,
-        )
-        # A good previous match quarters the chain budget *before* the
-        # search (deflate_slow); that variant is only consulted when
-        # prev_len can be in [good_length, max_lazy).
-        quart_chain = policy.max_chain >> 2
-        need_quart = quart_chain > 0 and policy.good_length < policy.max_lazy
-        if need_quart:
-            quart_len, quart_dist = _batch_matches(
-                buf, words4, prev_all, rank, n, max_dist,
-                quart_chain, policy.good_length, policy.nice_length,
-                cache,
-            )
-        else:
-            quart_len = quart_dist = None
-        return _replay_lazy(
-            data, n, policy,
-            full_len, full_dist, quart_len, quart_dist,
-        )
-
-    if policy.max_chain == 1:
-        best_len, best_dist = _single_chain_matches(
-            _padded_words8(buf), prev_all, n, max_dist
-        )
-    else:
-        best_len, best_dist = _batch_matches(
-            buf, words4, prev_all, rank, n, max_dist,
-            policy.max_chain, policy.good_length, policy.nice_length,
-            cache,
-        )
-    return _replay_greedy(data, n, best_len, best_dist)
 
 
 # ----------------------------------------------------------------------
@@ -186,28 +104,6 @@ def _prev_from_keys(keys, pos_bits, want_rank=True):
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size, dtype=np.int64)
     return prev_all, rank
-
-
-def _prev_occurrence(hashes):
-    """``prev[p]`` = nearest ``q < p`` with ``hashes[q] == hashes[p]``.
-
-    For insert-all configurations this *is* the hash chain: the head
-    table entry a position sees in its PREPARE step is exactly the
-    previous occurrence of its own hash, and following ``prev``
-    repeatedly reproduces the incremental head/next walk (ring aliasing
-    is unreachable within the distance limit, the same argument
-    :class:`repro.lzss.hashchain.ChainTables` makes).
-
-    Also returns ``rank`` — each position's index in the hash-sorted
-    order. Within one bucket the rank difference between two members is
-    exactly the number of chain links between them, which is what lets
-    the sub-chain walks account chain budget without stepping every
-    link.
-    """
-    keys = (hashes.astype(np.uint64) << np.uint64(42)) | np.arange(
-        hashes.size, dtype=np.uint64
-    )
-    return _prev_from_keys(keys, 42)
 
 
 def _prev_occurrence_batch(hashes, seg_pos, seam, table_size,
@@ -430,7 +326,7 @@ def _pair_lengths8(w8p, cand, pos, lim, k0=0):
     return k_out
 
 
-def _single_chain_matches(w8p, prev_all, n, max_dist, end_all=None):
+def _single_chain_matches(w8p, prev_all, max_dist, end_all):
     """Best matches when the chain budget is a single candidate.
 
     ``max_chain == 1`` (the batch engine's default greedy policy) visits
@@ -449,10 +345,7 @@ def _single_chain_matches(w8p, prev_all, n, max_dist, end_all=None):
     near = pos - cand <= max_dist
     pos = pos[near]
     cand = cand[near]
-    if end_all is None:
-        lim = np.minimum(np.int64(MAX_MATCH), np.int64(n) - pos)
-    else:
-        lim = np.minimum(np.int64(MAX_MATCH), end_all[pos] - pos)
+    lim = np.minimum(np.int64(MAX_MATCH), end_all[pos] - pos)
     k = _pair_lengths8(w8p, cand, pos, lim)
     # Sub-MIN_MATCH lengths land as-is: every consumer treats
     # ``len < MIN_MATCH`` as "no match", so the hit filter would only
@@ -472,9 +365,9 @@ _SWITCH_BL = 7
 _MAX_WIDTH = 32
 
 
-def _batch_matches(buf, words4, prev_all, rank, n, max_dist,
+def _batch_matches(buf, words4, prev_all, rank, max_dist,
                    max_chain, good_length, nice_length, cache,
-                   end_all=None, seg=None):
+                   end_all, seg):
     """Best (length, distance) for *every* hashable position.
 
     Runs ZLib's ``longest_match`` for all positions at once, with the
@@ -491,8 +384,8 @@ def _batch_matches(buf, words4, prev_all, rank, n, max_dist,
     the skipped bucket links in between are charged against the chain
     budget via rank arithmetic, keeping the outcome bit-identical.
 
-    ``end_all``/``seg`` generalise the pass to packed multi-payload
-    buffers (:mod:`repro.lzss.batch`): ``end_all[p]`` is the exclusive
+    ``end_all``/``seg`` describe the packed multi-payload buffer
+    (:mod:`repro.lzss.batch`): ``end_all[p]`` is the exclusive
     data limit for position ``p`` (its segment's end), so no extension
     ever reads across a payload seam, and ``seg`` (per-byte segment
     ids) confines the content-keyed sub-chains to same-segment
@@ -500,7 +393,7 @@ def _batch_matches(buf, words4, prev_all, rank, n, max_dist,
     same-segment and closer than ``lim`` bytes from its own segment
     end, so all word/byte gathers stay inside the candidate's payload.
     """
-    count = prev_all.size  # positions 0 .. n - MIN_MATCH
+    count = prev_all.size  # positions 0 .. len(buf) - MIN_MATCH
     out_len = np.full(count, MIN_MATCH - 1, dtype=np.int64)
     out_dist = np.zeros(count, dtype=np.int64)
 
@@ -513,10 +406,7 @@ def _batch_matches(buf, words4, prev_all, rank, n, max_dist,
     start = (cand >= 0) & (cand >= pos - np.int64(max_dist))
     pos = pos[start]
     cand = cand[start]
-    if end_all is None:
-        lim = np.minimum(np.int64(MAX_MATCH), np.int64(n) - pos)
-    else:
-        lim = np.minimum(np.int64(MAX_MATCH), end_all[pos] - pos)
+    lim = np.minimum(np.int64(MAX_MATCH), end_all[pos] - pos)
     min_cand = pos - np.int64(max_dist)
     bl = np.full(pos.size, MIN_MATCH - 1, dtype=np.int64)
     bd = np.zeros(pos.size, dtype=np.int64)
@@ -604,7 +494,7 @@ def _batch_matches(buf, words4, prev_all, rank, n, max_dist,
 
 
 def _sub_walk(buf, words4, w8, prev_sub, rank, good_length, nice_length,
-              out_len, out_dist, state, width, migrate_bl, seg=None):
+              out_len, out_dist, state, width, migrate_bl, seg):
     """Walk ``width``-byte-prefix sub-chains for switched lanes.
 
     Each round visits one sub-chain member per lane. A member at bucket
@@ -618,7 +508,7 @@ def _sub_walk(buf, words4, w8, prev_sub, rank, good_length, nice_length,
     are handed back for the next-wider level; the rest die in place and
     scatter their result.
 
-    ``seg`` (packed multi-payload mode) adds a segment-equality term to
+    ``seg`` (per-byte segment ids) adds a segment-equality term to
     the membership test: the content-keyed sub-chains span the whole
     packed buffer, so a prefix-equal candidate from *another* payload
     must be stepped over for free — mirroring "not in this segment's
@@ -645,9 +535,7 @@ def _sub_walk(buf, words4, w8, prev_sub, rank, good_length, nice_length,
             ck = ck[ok]
             if not pos.size:
                 break
-        member = w8[cand] == w8[pos]
-        if seg is not None:
-            member &= seg[cand] == seg[pos]
+        member = (w8[cand] == w8[pos]) & (seg[cand] == seg[pos])
         for off in range(8, width, 8):
             member &= w8[cand + off] == w8[pos + off]
         rc = rank[cand]
@@ -734,39 +622,6 @@ def _sub_walk(buf, words4, w8, prev_sub, rank, good_length, nice_length,
 # ----------------------------------------------------------------------
 # sequential replay
 # ----------------------------------------------------------------------
-
-
-def _replay_greedy(data, n, best_len, best_dist):
-    """Greedy parse from precomputed per-position matches.
-
-    Insert-all means there is no table bookkeeping left, and the parse
-    takes the first match-bearing position at or after the current one
-    — so the Python loop runs once per *match*, with the literal runs
-    in between transferred as C-level bulk extends.
-    """
-    tokens = TokenArray()
-    out_lengths = array("i")
-    out_values = array("i")
-    match_at = np.flatnonzero(best_len >= MIN_MATCH)
-    mpos = match_at.tolist()
-    mlen = best_len[match_at].tolist()
-    mdist = best_dist[match_at].tolist()
-    pos = 0
-    for q, length, dist in zip(mpos, mlen, mdist):
-        if q < pos:  # inside the previous match: never visited
-            continue
-        if q > pos:
-            out_lengths.extend(bytes(q - pos))  # zero length = literal
-            out_values.extend(data[pos:q])
-        out_lengths.append(length)
-        out_values.append(dist)
-        pos = q + length
-    if pos < n:
-        out_lengths.extend(bytes(n - pos))
-        out_values.extend(data[pos:n])
-    tokens.lengths = out_lengths
-    tokens.values = out_values
-    return tokens
 
 
 def _replay_lazy(data, n, policy, full_len, full_dist,
@@ -896,7 +751,6 @@ def batch_match_arrays(buf, seg_of, end_of, seam, window_size, hash_spec,
     limits stop at the segment end, and the sub-chain walk is
     segment-guarded.
     """
-    n = buf.size
     hashes = _hash_all_np(buf, hash_spec)
     single_chain = not policy.lazy and policy.max_chain == 1
     prev_all, rank = _prev_occurrence_batch(
@@ -908,24 +762,24 @@ def batch_match_arrays(buf, seg_of, end_of, seam, window_size, hash_spec,
         # The batch default (BATCH_GREEDY_POLICY): one candidate per
         # position, no budget bookkeeping worth vectorising.
         full = _single_chain_matches(
-            _padded_words8(buf), prev_all, n, max_dist, end_all=end_of
+            _padded_words8(buf), prev_all, max_dist, end_of
         )
         return full[0], full[1], None, None
     words4 = _words4(buf)
     cache = {}
     full = _batch_matches(
-        buf, words4, prev_all, rank, n, max_dist,
+        buf, words4, prev_all, rank, max_dist,
         policy.max_chain, policy.good_length, policy.nice_length,
-        cache, end_all=end_of, seg=seg_of,
+        cache, end_of, seg_of,
     )
     quart = (None, None)
     if policy.lazy:
         quart_chain = policy.max_chain >> 2
         if quart_chain > 0 and policy.good_length < policy.max_lazy:
             quart = _batch_matches(
-                buf, words4, prev_all, rank, n, max_dist,
+                buf, words4, prev_all, rank, max_dist,
                 quart_chain, policy.good_length, policy.nice_length,
-                cache, end_all=end_of, seg=seg_of,
+                cache, end_of, seg_of,
             )
     return full[0], full[1], quart[0], quart[1]
 
@@ -933,7 +787,7 @@ def batch_match_arrays(buf, seg_of, end_of, seam, window_size, hash_spec,
 def replay_greedy_lockstep(buf, seg_starts, seg_ends, best_len, best_dist):
     """Greedy replay of every segment at once, round-synchronised.
 
-    The scalar :func:`_replay_greedy` loop runs once per match; over a
+    A per-payload greedy replay loop runs once per match; over a
     batch of small payloads that is still thousands of Python
     iterations. This version advances *all* segments together: each
     round jumps every active segment to its next match through a

@@ -49,7 +49,6 @@ def compress_batch_parallel(
     policy=None,
     backend: Optional[str] = None,
     shared_plan: Optional[bool] = None,
-    router=None,
     pool=None,
 ) -> BatchResult:
     """Batch-compress ``payloads`` across a process pool, chunk-wise.
@@ -79,7 +78,7 @@ def compress_batch_parallel(
     kwargs = dict(
         profile=profile, zdict=zdict, window_size=window_size,
         hash_spec=hash_spec, policy=policy, backend=backend,
-        shared_plan=shared_plan, router=router,
+        shared_plan=shared_plan,
     )
     if not payloads:
         return compress_batch([], **kwargs)

@@ -22,8 +22,7 @@ class ShardStat:
     ``backend`` is the concrete tokenizer the shard ran after routing
     (``"stored"`` when the incompressibility bypass skipped
     tokenization); ``route_reason`` is the router's machine-greppable
-    tag (``static``, ``probe-match-poor``, ``probe-match-rich``,
-    ``trace-sample``, ``stored-bypass``, ``vector-unavailable``);
+    tag (``static``, ``trace-sample``, ``stored-bypass``);
     ``traced_sample`` marks shards the sampling policy diverted through
     the instrumented backend. Empty strings mean the shard predates the
     router (or was built by hand in a test).

@@ -73,9 +73,6 @@ class ParallelDeflateWriter:
         backend: Optional[str] = None,
         refine: Optional[bool] = None,
         profile=None,
-        route: Optional[str] = None,
-        probe_entropy_bits: Optional[float] = None,
-        probe_match_density: Optional[float] = None,
         trace_fraction: Optional[float] = None,
         trace_seed: Optional[int] = None,
         router: Optional[RouterConfig] = None,
@@ -102,9 +99,6 @@ class ParallelDeflateWriter:
             sniff=sniff,
             backend=backend,
             refine=refine,
-            route=route,
-            probe_entropy_bits=probe_entropy_bits,
-            probe_match_density=probe_match_density,
             trace_fraction=trace_fraction,
             trace_seed=trace_seed,
             router=router,

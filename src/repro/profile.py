@@ -17,7 +17,7 @@ way partial configs should.
 Presets:
 
 * ``fastest`` — greedy level-1 policy, fixed Huffman tables, no cut
-  search, ``auto`` backend (the vector kernel where it wins): minimum
+  search, ``auto`` backend (the scalar ``fast`` tokenizer): minimum
   latency per byte;
 * ``balanced`` — lazy level-6 policy, adaptive best-of-three block
   coding with the cut search and sniff on: the zlib-default trade;
@@ -42,8 +42,8 @@ class CompressionProfile:
     """A named bundle of compression settings; ``None`` fields are unset.
 
     >>> prof = CompressionProfile(window_size=8192, backend="fast")
-    >>> prof.merged(backend="vector").backend
-    'vector'
+    >>> prof.merged(backend="sa").backend
+    'sa'
     >>> prof.merged(backend=None).window_size  # None kwargs don't unset
     8192
     """
@@ -60,19 +60,12 @@ class CompressionProfile:
     # emerging Huffman prices (repro.deflate.splitter.refine_blocks) —
     # a ratio knob, effective only with adaptive strategy + cut search.
     refine: Optional[bool] = None
-    # Per-shard routing (repro.lzss.router): "static" resolves the
-    # backend once per stream, "probe" decides per shard; the two
-    # probe thresholds gate the vector choice; trace_fraction/seed
-    # drive the deterministic traced-sampling telemetry policy.
-    route: Optional[str] = None
-    probe_entropy_bits: Optional[float] = None
-    probe_match_density: Optional[float] = None
+    # The deterministic traced-sampling telemetry policy
+    # (repro.lzss.router.should_trace).
     trace_fraction: Optional[float] = None
     trace_seed: Optional[int] = None
-    # Shards shorter than probe_min_bytes skip the probe (fast path);
-    # batch_shared_plan toggles the pooled dynamic Huffman plan in
+    # Toggles the pooled dynamic Huffman plan in
     # repro.batch.compress_batch (False pins every payload to FIXED).
-    probe_min_bytes: Optional[int] = None
     batch_shared_plan: Optional[bool] = None
 
     def merged(self, **overrides) -> "CompressionProfile":

@@ -1,7 +1,7 @@
 """``python -m repro.serve`` — run the compression service.
 
 The minimal standalone entry point; the full-featured command (profiles,
-backend routing, self-test mode) is ``lzss-estimator serve``.
+backend choice, self-test mode) is ``lzss-estimator serve``.
 """
 
 from __future__ import annotations

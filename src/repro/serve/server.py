@@ -46,7 +46,7 @@ class CompressionService:
     borrows the process-wide default pool for ``workers``. All other
     keyword arguments configure the per-stream compression exactly like
     :class:`~repro.parallel.engine.ShardedCompressor` (profiles,
-    strategy, backend routing, ...); ``carry_window`` defaults to True
+    strategy, backend, ...); ``carry_window`` defaults to True
     here — a served stream is one document, so cross-shard matches are
     pure ratio win.
     """

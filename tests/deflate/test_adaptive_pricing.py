@@ -112,7 +112,6 @@ class TestAdaptiveRoundTrips:
         data = mixed(30000, seed=13)
         oracle = zlib_compress_adaptive(data, backend="traced")
         assert zlib_compress_adaptive(data, backend="fast") == oracle
-        assert zlib_compress_adaptive(data, backend="vector") == oracle
 
     @staticmethod
     def _split(data):

@@ -192,3 +192,26 @@ class TestEmptyShardSyncFlush:
         out += stream.flush_sync()
         out += stream.flush_sync()  # suppressed duplicate
         assert decompress_prefix(out) == first
+
+
+class TestLongLivedStream:
+    """Per-write state must not accumulate in a long-lived stream."""
+
+    def test_no_list_attribute_grows_with_writes(self):
+        stream = ZLibStreamCompressor(profile="fastest")
+        line = b"Oct 17 12:00:00 host app[42]: request served in 3 ms\n"
+
+        def list_sizes():
+            return {
+                name: len(value) for name, value in vars(stream).items()
+                if isinstance(value, list)
+            }
+
+        out = bytearray(stream.compress(line))
+        baseline = list_sizes()
+        for writes in (100, 1000):
+            for _ in range(writes):
+                out += stream.compress(line)
+            assert list_sizes() == baseline, writes
+        out += stream.finish()
+        assert zlib.decompress(bytes(out)) == line * 1101

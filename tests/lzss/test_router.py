@@ -1,43 +1,37 @@
-"""The per-shard routing contract: probes, decisions, byte-identity.
+"""The per-chunk decision contract: probe, backend, sampling, bytes.
 
 Three families of guarantees:
 
-(a) **differential** — routing moves wall-clock only. A probe-routed
-    stream is byte-identical to the same stream compressed with any
-    statically-chosen backend, across mixed shard sequences
-    (noise -> text -> noise) and every window/policy combination the
-    vector kernel admits, through every entry point (shard body,
-    sharded engine, streaming writer, chunked stream compressor);
+(a) **differential** — decisions move wall-clock only. ``auto``,
+    ``fast`` and ``traced`` shards are byte-identical across mixed shard
+    sequences (noise -> text -> noise) and several window/policy
+    combinations, through the shard body, the sharded engine and the
+    streaming writer;
 (b) **sampling** — the traced-sampling policy is deterministic and
     seedable: fractions 0.0/1.0 degenerate exactly, equal seeds give
     equal selections, and sampled shards produce calibration telemetry
     whose shape matches what the hardware cycle model computes;
-(c) **probe economy** — each shard is probed at most once: the stored
-    bypass and the router share one :class:`ShardProbe`.
+(c) **probe economy** — the stored-bypass probe runs at most once per
+    shard, and only where the bypass can act (ADAPTIVE with sniff).
 """
 
-import random
-import sys
 import zlib
 
 import pytest
 
 from repro.deflate.block_writer import BlockStrategy
 from repro.deflate.sniff import looks_incompressible
-from repro.deflate.stream import ZLibStreamCompressor
 from repro.errors import ConfigError
 from repro.lzss import router as router_mod
-from repro.lzss.policy import HW_MAX_POLICY, HW_SPEED_POLICY, ZLIB_LEVELS
+from repro.lzss.policy import HW_MAX_POLICY, ZLIB_LEVELS
 from repro.lzss.router import (
-    ROUTE_ENTROPY_BITS,
-    ROUTE_MATCH_DENSITY,
     RouterConfig,
     RoutingDecision,
     ShardProbe,
     config_from_profile,
     probe_shard,
+    route_batch,
     route_shard,
-    sampled_match_density,
     should_trace,
 )
 from repro.parallel import ParallelDeflateWriter, ShardedCompressor
@@ -47,19 +41,16 @@ from repro.workloads.synthetic import incompressible
 from repro.workloads.wiki import wiki_text
 
 SHARD = 4096
+TEXT = wiki_text(8192, seed=3)
 
 
 def mixed_payload(shards: int = 6, shard_size: int = SHARD) -> bytes:
-    """noise -> text -> noise -> ... : alternating routing targets."""
+    """noise -> text -> noise -> ... : alternating bypass verdicts."""
     noise = incompressible(shard_size, seed=5)
     text = wiki_text(shard_size, seed=5)
     return b"".join(
         (noise if i % 2 == 0 else text) for i in range(shards)
     )
-
-
-def block_numpy(monkeypatch):
-    monkeypatch.setitem(sys.modules, "numpy", None)
 
 
 # ---------------------------------------------------------------------
@@ -68,36 +59,19 @@ def block_numpy(monkeypatch):
 
 
 class TestProbe:
-    def test_density_separates_noise_from_text(self):
-        assert sampled_match_density(incompressible(65536, seed=1)) < 0.05
-        assert sampled_match_density(wiki_text(65536, seed=1)) > 0.3
-
-    def test_density_degenerate_inputs(self):
-        assert sampled_match_density(b"") == 0.0
-        assert sampled_match_density(b"ab") == 0.0
-        assert sampled_match_density(b"aaaa") > 0.0
-
     def test_probe_shard_fields(self):
         data = incompressible(16384, seed=2)
         probe = probe_shard(data)
         assert probe.input_bytes == len(data)
         assert probe.entropy_bits > 7.9
-        assert probe.match_density is not None
+        assert probe.incompressible
 
     def test_probe_matches_stored_bypass_verdict(self, corpus_variety):
         # One probe serves both consumers: its incompressible property
         # must agree with the sniff it replaces, on every corpus input.
         for name, data in corpus_variety.items():
-            probe = probe_shard(data, match_density=False)
+            probe = probe_shard(data)
             assert probe.incompressible == looks_incompressible(data), name
-
-    def test_with_density_is_idempotent(self):
-        data = wiki_text(8192, seed=3)
-        probe = probe_shard(data, match_density=False)
-        assert probe.match_density is None
-        filled = probe.with_density(data)
-        assert filled.match_density is not None
-        assert filled.with_density(b"completely different") is filled
 
 
 # ---------------------------------------------------------------------
@@ -106,36 +80,21 @@ class TestProbe:
 
 
 class TestRouterConfig:
-    def test_defaults_are_static_and_inactive(self):
-        config = RouterConfig()
-        assert config.route == "static"
-        assert not config.active
-
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            RouterConfig(route="adaptive")
         with pytest.raises(ConfigError):
             RouterConfig(trace_fraction=1.5)
         with pytest.raises(ConfigError):
-            RouterConfig(entropy_bits=9.0)
-        with pytest.raises(ConfigError):
-            RouterConfig(match_density=-0.1)
-
-    def test_active_states(self):
-        assert RouterConfig(route="probe").active
-        assert RouterConfig(trace_fraction=0.1).active
+            RouterConfig(trace_fraction=-0.1)
 
     def test_config_from_profile_precedence(self):
-        prof = CompressionProfile(route="probe", probe_entropy_bits=7.0,
-                                  trace_fraction=0.25)
+        prof = CompressionProfile(trace_fraction=0.25, trace_seed=4)
         # kwarg > profile field > default, per knob.
-        config = config_from_profile(prof, probe_entropy_bits=6.5)
-        assert config.route == "probe"
-        assert config.entropy_bits == 6.5
-        assert config.match_density == ROUTE_MATCH_DENSITY
+        config = config_from_profile(prof, trace_seed=9)
         assert config.trace_fraction == 0.25
+        assert config.trace_seed == 9
+        assert config_from_profile(CompressionProfile()) == RouterConfig()
         # A whole RouterConfig wins outright.
-        override = RouterConfig(route="static")
+        override = RouterConfig()
         assert config_from_profile(prof, router=override) is override
 
 
@@ -187,63 +146,10 @@ class TestRouteShard:
         assert decision.backend == "fast"
         assert decision.reason == "static"
 
-    def test_probe_routes_noise_to_vector(self):
-        pytest.importorskip("numpy")
-        decision = route_shard(
-            incompressible(SHARD, seed=1), backend="auto",
-            policy=HW_MAX_POLICY, config=RouterConfig(route="probe"),
-        )
-        assert decision.backend == "vector"
-        assert decision.reason == "probe-match-poor"
-        assert decision.probe is not None
-        assert decision.probe.entropy_bits >= ROUTE_ENTROPY_BITS
-
-    def test_probe_routes_text_to_fast(self):
-        pytest.importorskip("numpy")
-        decision = route_shard(
-            wiki_text(SHARD, seed=1), backend="auto",
-            policy=HW_MAX_POLICY, config=RouterConfig(route="probe"),
-        )
-        assert decision.backend == "fast"
-        assert decision.reason == "probe-match-rich"
-
-    def test_probe_only_applies_to_auto(self):
-        # An explicit backend is an instruction, not a hint.
+    def test_trace_sample_wins_over_backend(self):
         decision = route_shard(
             incompressible(SHARD, seed=1), backend="fast",
-            policy=HW_MAX_POLICY, config=RouterConfig(route="probe"),
-        )
-        assert decision.backend == "fast"
-        assert decision.reason == "static"
-
-    def test_unsupported_policy_routes_to_fast(self):
-        # Greedy partial-insert: the vector kernel cannot serve it, so
-        # the probe is skipped entirely (no wasted density windows).
-        decision = route_shard(
-            incompressible(SHARD, seed=1), backend="auto",
-            policy=HW_SPEED_POLICY, config=RouterConfig(route="probe"),
-        )
-        assert decision.backend == "fast"
-        assert decision.reason == "vector-unavailable"
-
-    def test_without_numpy_everything_routes_to_fast(self, monkeypatch):
-        # The no-numpy CI contract: probe mode degrades silently.
-        block_numpy(monkeypatch)
-        for seed in range(3):
-            for payload in (incompressible(SHARD, seed=seed),
-                            wiki_text(SHARD, seed=seed)):
-                decision = route_shard(
-                    payload, backend="auto", policy=HW_MAX_POLICY,
-                    config=RouterConfig(route="probe"),
-                )
-                assert decision.backend == "fast"
-                assert decision.reason == "vector-unavailable"
-
-    def test_trace_sample_wins_over_probe(self):
-        decision = route_shard(
-            incompressible(SHARD, seed=1), backend="auto",
-            policy=HW_MAX_POLICY,
-            config=RouterConfig(route="probe", trace_fraction=1.0),
+            policy=HW_MAX_POLICY, config=RouterConfig(trace_fraction=1.0),
         )
         assert decision.backend == "traced"
         assert decision.reason == "trace-sample"
@@ -259,35 +165,42 @@ class TestRouteShard:
             raise AssertionError("shard probed twice")
 
         monkeypatch.setattr(router_mod, "probe_shard", boom)
-        monkeypatch.setattr(router_mod, "sampled_match_density", boom)
         decision = route_shard(
-            data, backend="auto", policy=HW_MAX_POLICY,
-            config=RouterConfig(route="probe"), probe=probe,
+            data, backend="auto", policy=HW_MAX_POLICY, probe=probe,
         )
         assert decision.probe is probe
 
-    def test_thresholds_are_honoured(self):
+
+class TestRouteBatch:
+    def test_auto_batch_takes_packed_kernel(self):
         pytest.importorskip("numpy")
-        noise = incompressible(SHARD, seed=1)
-        # An impossible entropy bar forces even noise to fast.
-        strict = RouterConfig(route="probe", entropy_bits=8.0)
-        assert route_shard(noise, backend="auto", policy=HW_MAX_POLICY,
-                           config=strict).backend == "fast"
-        # A free density bar plus a low entropy bar lets text through
-        # only if its density also clears — it never does.
-        loose = RouterConfig(route="probe", entropy_bits=0.0,
-                             match_density=1.0)
-        assert route_shard(noise, backend="auto", policy=HW_MAX_POLICY,
-                           config=loose).backend == "vector"
+        decision = route_batch([TEXT], backend="auto",
+                               policy=HW_MAX_POLICY)
+        assert decision.backend == "batch"
+        assert decision.reason == "batch-kernel"
+
+    def test_explicit_backend_resolves_statically(self):
+        decision = route_batch([TEXT], backend="fast",
+                               policy=HW_MAX_POLICY)
+        assert decision.backend == "fast"
+        assert decision.reason == "static"
+
+    def test_auto_degrades_without_numpy(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.lzss.backends._numpy_usable", lambda: False
+        )
+        decision = route_batch([TEXT], backend="auto",
+                               policy=HW_MAX_POLICY)
+        assert decision.backend == "fast"
+        assert decision.reason == "kernel-unavailable"
 
 
 # ---------------------------------------------------------------------
-# (a) differential: routing never changes bytes
+# (a) differential: decisions never change bytes
 # ---------------------------------------------------------------------
 
-#: (window, policy) combinations the vector kernel actually admits, so
-#: probe routing has a real vector choice to diverge on.
-VECTOR_COMBOS = [
+#: Greedy and lazy policies across small, default and maximal windows.
+COMBOS = [
     (4096, HW_MAX_POLICY),
     (1024, HW_MAX_POLICY),
     (32768, ZLIB_LEVELS[6]),
@@ -296,23 +209,22 @@ VECTOR_COMBOS = [
 
 
 class TestRoutedBytesIdentical:
-    @pytest.mark.parametrize("window,policy", VECTOR_COMBOS)
+    @pytest.mark.parametrize("window,policy", COMBOS)
     def test_shard_body_identical_per_decision(self, window, policy):
-        config = RouterConfig(route="probe")
         for payload in (incompressible(SHARD, seed=7),
                         wiki_text(SHARD, seed=7)):
             routed = compress_shard_body(
                 payload, window_size=window, policy=policy,
-                backend="auto", router=config,
+                backend="auto",
             )
-            for static in ("fast", "vector", "traced"):
+            for static in ("fast", "traced"):
                 body = compress_shard_body(
                     payload, window_size=window, policy=policy,
                     backend=static,
                 )
                 assert body == routed, (window, policy, static)
 
-    @pytest.mark.parametrize("window,policy", VECTOR_COMBOS)
+    @pytest.mark.parametrize("window,policy", COMBOS)
     def test_engine_mixed_sequence_identical(self, window, policy):
         payload = mixed_payload()
         profile = CompressionProfile(window_size=window, policy=policy)
@@ -322,23 +234,10 @@ class TestRoutedBytesIdentical:
                 workers=1, shard_size=SHARD, profile=profile, **kwargs
             ).compress(payload)
 
-        routed = run(backend="auto", route="probe")
-        for static in ("fast", "vector"):
+        routed = run(backend="auto")
+        for static in ("fast", "traced"):
             assert run(backend=static).data == routed.data, static
         assert zlib.decompress(routed.data) == payload
-
-    def test_engine_routes_mixed_sequence_both_ways(self):
-        pytest.importorskip("numpy")
-        payload = mixed_payload()
-        result = ShardedCompressor(
-            workers=1, shard_size=SHARD, backend="auto", route="probe",
-            profile=CompressionProfile(policy=HW_MAX_POLICY),
-        ).compress(payload)
-        reasons = [s.route_reason for s in result.stats.shards]
-        backends = [s.backend for s in result.stats.shards]
-        assert backends == ["vector", "fast"] * 3
-        assert reasons == ["probe-match-poor", "probe-match-rich"] * 3
-        assert result.stats.backend_counts == {"vector": 3, "fast": 3}
 
     def test_writer_identical_to_engine(self):
         payload = mixed_payload()
@@ -351,58 +250,18 @@ class TestRoutedBytesIdentical:
 
         with ParallelDeflateWriter(
             Sink(), workers=1, shard_size=SHARD, backend="auto",
-            route="probe", profile=profile,
+            profile=profile,
         ) as writer:
             # Misaligned writes: shard cutting is the writer's job.
             for start in range(0, len(payload), 3000):
                 writer.write(payload[start:start + 3000])
         streamed = b"".join(chunks)
         engine = ShardedCompressor(
-            workers=1, shard_size=SHARD, backend="auto", route="probe",
+            workers=1, shard_size=SHARD, backend="auto",
             profile=profile,
         ).compress(payload)
         assert streamed == engine.data
         assert zlib.decompress(streamed) == payload
-
-    def test_stream_compressor_chunks_are_routed(self):
-        payload = mixed_payload(shards=4)
-        profile = CompressionProfile(policy=HW_MAX_POLICY)
-
-        def run(**kwargs):
-            stream = ZLibStreamCompressor(profile=profile, **kwargs)
-            out = b""
-            for start in range(0, len(payload), SHARD):
-                out += stream.compress(payload[start:start + SHARD])
-            return stream, out + stream.finish()
-
-        routed_stream, routed = run(backend="auto", route="probe")
-        _, static = run(backend="fast")
-        assert routed == static
-        assert zlib.decompress(routed) == payload
-        assert len(routed_stream.routing) == 4
-        reasons = [d.reason for d in routed_stream.routing]
-        assert set(reasons) <= {"probe-match-poor", "probe-match-rich",
-                                "vector-unavailable"}
-
-    def test_no_numpy_probe_runs_everything_fast(self, monkeypatch):
-        # The whole engine under probe routing with numpy missing:
-        # silently all-fast, bytes still identical, stream still valid.
-        block_numpy(monkeypatch)
-        payload = mixed_payload(shards=4)
-        profile = CompressionProfile(policy=HW_MAX_POLICY)
-        routed = ShardedCompressor(
-            workers=1, shard_size=SHARD, backend="auto", route="probe",
-            profile=profile,
-        ).compress(payload)
-        static = ShardedCompressor(
-            workers=1, shard_size=SHARD, backend="fast", profile=profile,
-        ).compress(payload)
-        assert routed.data == static.data
-        assert routed.stats.backend_counts == {"fast": 4}
-        assert all(s.route_reason == "vector-unavailable"
-                   for s in routed.stats.shards)
-        assert zlib.decompress(routed.data) == payload
-
 
 # ---------------------------------------------------------------------
 # (b) traced sampling through the engine
@@ -499,38 +358,29 @@ class TestTracedSampling:
 
 class TestSingleProbe:
     def count_probes(self, monkeypatch):
-        from repro.parallel import engine as engine_mod
+        from repro.deflate import stream as stream_mod
 
         calls = []
-        real = engine_mod.probe_shard
+        real = stream_mod.probe_shard
 
-        def counting(data, match_density=True):
+        def counting(data):
             calls.append(len(data))
-            return real(data, match_density=match_density)
+            return real(data)
 
-        monkeypatch.setattr(engine_mod, "probe_shard", counting)
-        # route_shard must never probe on its own when handed a probe.
-        monkeypatch.setattr(
-            router_mod, "probe_shard",
-            lambda *a, **k: (_ for _ in ()).throw(
-                AssertionError("router probed the shard a second time")
-            ),
-        )
+        monkeypatch.setattr(stream_mod, "probe_shard", counting)
         return calls
 
-    def test_adaptive_probe_mode_probes_once_per_shard(self, monkeypatch):
+    def test_adaptive_probes_once_per_shard(self, monkeypatch):
         calls = self.count_probes(monkeypatch)
         payload = mixed_payload(shards=4)
         result = ShardedCompressor(
-            workers=1, shard_size=SHARD, backend="auto", route="probe",
+            workers=1, shard_size=SHARD, backend="auto",
             strategy=BlockStrategy.ADAPTIVE,
             profile=CompressionProfile(policy=HW_MAX_POLICY),
         ).compress(payload)
-        # One probe per shard: stored bypass + router share it.
         assert len(calls) == 4
         assert zlib.decompress(result.data) == payload
-        # The noise shards were taken by the stored bypass, which saw
-        # the same probe the router would have used.
+        # The noise shards were taken by the stored bypass.
         assert result.stats.backend_counts.get("stored") == 2
 
     def test_static_fast_never_probes(self, monkeypatch):
@@ -549,28 +399,28 @@ class TestSingleProbe:
 
 class TestRoutingStats:
     def test_decisions_surface_in_format(self):
-        pytest.importorskip("numpy")
         result = ShardedCompressor(
-            workers=1, shard_size=SHARD, backend="auto", route="probe",
+            workers=1, shard_size=SHARD, backend="fast",
+            trace_fraction=1.0,
             profile=CompressionProfile(policy=HW_MAX_POLICY),
         ).compress(mixed_payload(shards=2))
         report = result.stats.format(per_shard=True)
         assert "backends        :" in report
-        assert "[probe-match-rich]" in report
+        assert "[trace-sample]" in report
 
     def test_decision_record_shape(self):
         decision = route_shard(b"z" * 2000, backend="fast",
                                policy=HW_MAX_POLICY)
         assert isinstance(decision, RoutingDecision)
         assert decision.requested == "fast"
-        assert decision.route == "static"
+        assert decision.reason == "static"
         assert not decision.traced_sample
 
     def test_probe_is_picklable_for_the_pool(self):
         import pickle
 
         probe = probe_shard(wiki_text(SHARD, seed=1))
-        config = RouterConfig(route="probe", trace_fraction=0.5)
+        config = RouterConfig(trace_fraction=0.5, trace_seed=2)
         assert pickle.loads(pickle.dumps(probe)) == probe
         assert pickle.loads(pickle.dumps(config)) == config
         assert isinstance(probe, ShardProbe)

@@ -24,20 +24,20 @@ class TestShardBackends:
     def test_plan_carries_overrides(self):
         engine = ShardedCompressor(
             shard_size=SHARD, backend="fast",
-            shard_backends={1: "traced", 3: "vector"},
+            shard_backends={1: "traced", 3: "sa"},
         )
         tasks = engine.plan(PAYLOAD)
         assert len(tasks) >= 4
         got = {task.index: task.backend for task in tasks}
         assert got[0] == "fast"
         assert got[1] == "traced"
-        assert got[3] == "vector"
+        assert got[3] == "sa"
 
     def test_mixed_backends_output_identical(self):
         uniform = compress_parallel(PAYLOAD, workers=1, shard_size=SHARD)
         mixed = compress_parallel(
             PAYLOAD, workers=1, shard_size=SHARD,
-            shard_backends={0: "traced", 2: "vector"},
+            shard_backends={0: "traced", 2: "fast"},
         )
         assert mixed == uniform
         assert zlib.decompress(mixed) == PAYLOAD

@@ -1,29 +1,21 @@
-"""Differential fuzzing of every trace-free backend against the traced one.
+"""Differential fuzzing of the trace-free ``fast`` backend against ``traced``.
 
 The fast tokenizer (:mod:`repro.lzss.fast`) re-implements the greedy and
 lazy parsers without any trace bookkeeping and with a different compare
-kernel (32-byte memoryview chunks, zlib's quick-reject peek); the vector
-tokenizer (:mod:`repro.lzss.vector`) re-implements them again as batched
-numpy kernels (whole-buffer hash/prev tables, many-candidate screening,
-word-stride extension). None of that may change the output: every
-backend must be **bit-identical** to ``traced`` for every window size
-and policy, or the production paths stop being witnesses for the
-instrumented reproduction path.
+kernel (32-byte memoryview chunks, zlib's quick-reject peek). None of
+that may change the output: it must be **bit-identical** to ``traced``
+for every window size and policy, or the production path stops being a
+witness for the instrumented reproduction path.
 
 Hypothesis drives the payloads across the compressibility spectrum;
 window sizes and policies sweep the hardware-relevant corners (512 is
 the smallest window with a usable distance given MIN_LOOKAHEAD=262,
-32768 is Deflate's ceiling). The three-way harness asks for the
-``vector`` backend unconditionally: where the kernel does not support a
-policy (greedy with partial inserts) or numpy is missing, the registry
-falls back to ``fast`` — itself verified against ``traced`` here — so
-the assertion holds either way and the fallback path gets exercised by
-the same corpus.
+32768 is Deflate's ceiling).
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.lzss.backends import available, resolve
+from repro.lzss.backends import available
 from repro.lzss.compressor import compress_tokens
 from repro.lzss.decompressor import decompress_tokens
 from repro.lzss.policy import (
@@ -45,8 +37,6 @@ payloads = st.one_of(
 window_sizes = st.sampled_from([512, 1024, 4096, 32768])
 
 #: Greedy and lazy, hardware-shaped and zlib-shaped, cheap and thorough.
-#: HW_MAX and the lazy levels run the true vector kernel; the partial-
-#: insert greedy policies exercise the registry's silent fast fallback.
 policies = st.sampled_from([
     MatchPolicy(),
     HW_SPEED_POLICY,
@@ -75,28 +65,15 @@ class TestBackendsBitIdentical:
         traced = compress_tokens(data, window, policy=policy,
                                  backend="traced")
         fast = compress_tokens(data, window, policy=policy, backend="fast")
-        vector = compress_tokens(data, window, policy=policy,
-                                 backend="vector")
-        oracle = token_columns(traced.tokens)
-        assert token_columns(fast.tokens) == oracle
-        assert token_columns(vector.tokens) == oracle
+        assert token_columns(fast.tokens) == token_columns(traced.tokens)
         assert traced.trace is not None
         assert fast.trace is None
-        assert vector.trace is None
-        assert vector.backend == resolve("vector", policy)
 
     @given(data=payloads, window=window_sizes, policy=policies)
     @relaxed
     def test_fast_tokens_roundtrip(self, data, window, policy):
         fast = compress_tokens(data, window, policy=policy, backend="fast")
         assert decompress_tokens(fast.tokens) == data
-
-    @given(data=payloads, window=window_sizes, policy=policies)
-    @relaxed
-    def test_vector_tokens_roundtrip(self, data, window, policy):
-        vector = compress_tokens(data, window, policy=policy,
-                                 backend="vector")
-        assert decompress_tokens(vector.tokens) == data
 
 
 class TestBackendsOnCorpus:
@@ -131,43 +108,3 @@ class TestBackendsOnCorpus:
             # Per-call override wins over the constructor default.
             assert comp.compress(data, backend="traced").trace \
                 is not None, name
-
-
-class TestRoutedDecisionsIdentical:
-    """The router may pick any backend — the tokens must not move.
-
-    Property-level version of ``tests/lzss/test_router.py``: for every
-    payload/window/policy Hypothesis draws, whatever concrete backend
-    :func:`repro.lzss.router.route_shard` decides on (probe mode, any
-    threshold the draw picks) produces the same token columns as the
-    traced oracle. This pins the routing layer itself into the
-    differential contract, not just the backends underneath it.
-    """
-
-    @given(
-        data=payloads,
-        window=window_sizes,
-        policy=policies,
-        entropy_bits=st.floats(0.0, 8.0, allow_nan=False),
-        density=st.floats(0.0, 1.0, allow_nan=False),
-        trace_fraction=st.sampled_from([0.0, 0.3, 1.0]),
-        index=st.integers(0, 64),
-    )
-    @relaxed
-    def test_routed_backend_matches_oracle(self, data, window, policy,
-                                           entropy_bits, density,
-                                           trace_fraction, index):
-        from repro.lzss.router import RouterConfig, route_shard
-
-        config = RouterConfig(route="probe", entropy_bits=entropy_bits,
-                              match_density=density,
-                              trace_fraction=trace_fraction)
-        decision = route_shard(data, backend="auto", policy=policy,
-                               config=config, index=index)
-        assert decision.backend in ("traced", "fast", "vector")
-        routed = compress_tokens(data, window, policy=policy,
-                                 backend=decision.backend)
-        oracle = compress_tokens(data, window, policy=policy,
-                                 backend="traced")
-        assert token_columns(routed.tokens) == token_columns(oracle.tokens)
-        assert decompress_tokens(routed.tokens) == data

@@ -98,11 +98,11 @@ class TestPrecedenceMatrix:
         with pytest.raises(ConfigError, match="unknown resolve defaults"):
             CompressRequest().resolve(widow_size=4096)
 
-    def test_router_resolves_from_route_knobs(self):
-        resolved = CompressRequest(route="probe",
-                                   probe_entropy_bits=5.5).resolve()
-        assert resolved.router.route == "probe"
-        assert resolved.router.entropy_bits == 5.5
+    def test_router_resolves_from_trace_knobs(self):
+        resolved = CompressRequest(trace_fraction=0.5,
+                                   trace_seed=3).resolve()
+        assert resolved.router.trace_fraction == 0.5
+        assert resolved.router.trace_seed == 3
 
 
 class TestRequestSurface:

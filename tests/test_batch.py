@@ -2,7 +2,7 @@
 
 Every stream ``compress_batch`` returns must be an independent,
 CPython-zlib-decodable ZLib stream — batching is invisible to the
-decoder. The rest of the surface (stored bypass, per-payload backend
+decoder. The rest of the surface (kernel choice, per-payload backend
 overrides, profile knobs, stats) is contract-tested here; the
 byte-level properties live in the differential suites.
 """
@@ -15,7 +15,6 @@ import pytest
 from repro.batch import BatchResult, compress_batch
 from repro.errors import ConfigError
 from repro.lzss.batch import BATCH_GREEDY_POLICY, effective_dictionary
-from repro.lzss.router import RouterConfig
 from repro.profile import CompressionProfile
 
 
@@ -66,27 +65,8 @@ class TestRoundTrip:
 class TestRouting:
     def test_default_route_is_batch_static(self):
         result = compress_batch(_messages(3))
-        assert result.routing.reason in ("batch-vector",
-                                         "vector-unavailable")
-
-    def test_probe_routes_noise_to_stored(self):
-        rng = random.Random(2)
-        noise = [bytes(rng.randrange(256) for _ in range(2048))
-                 for _ in range(6)]
-        result = compress_batch(noise,
-                                router=RouterConfig(route="probe"))
-        assert result.routing.backend == "stored"
-        assert result.routing.reason == "batch-incompressible"
-        assert set(result.choices) == {"stored"}
-        assert result.plan is None
-        for payload, stream in zip(noise, result.streams):
-            assert zlib.decompress(stream) == payload
-
-    def test_probe_keeps_compressible_batch_on_vector_path(self):
-        result = compress_batch(_messages(6),
-                                router=RouterConfig(route="probe"))
-        assert result.routing.backend != "stored"
-        assert result.routing.probe is not None
+        assert result.routing.reason in ("batch-kernel",
+                                         "kernel-unavailable")
 
     def test_backend_overrides_are_bit_identical(self):
         payloads = _messages(5)

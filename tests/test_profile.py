@@ -28,8 +28,8 @@ class TestProfileValue:
 
     def test_merged_overrides_and_ignores_none(self):
         prof = CompressionProfile(window_size=8192, backend="fast")
-        out = prof.merged(backend="vector", window_size=None)
-        assert out.backend == "vector"
+        out = prof.merged(backend="sa", window_size=None)
+        assert out.backend == "sa"
         assert out.window_size == 8192
         assert prof.backend == "fast"  # original untouched
 
