@@ -10,7 +10,17 @@ refactor and checked after it:
   compress_shard_body` over 8 KiB shards with carried history;
 * one stream with every chunk diverted through the traced backend;
 * :func:`repro.compress_batch` on templated message lists, with and
-  without a preset dictionary, under ``auto`` and ``fast``.
+  without a preset dictionary, under ``auto`` and ``fast``;
+* the one-shot entry points: :func:`repro.api.compress` and
+  :func:`repro.deflate.gzip_container.compress` under every block
+  strategy on compressible, random, empty and 18-byte inputs (plus
+  200 KiB of random bytes through gzip ADAPTIVE), the preset-dictionary
+  paths (:func:`~repro.deflate.preset_dict.compress_with_dict`,
+  ``compress(zdict=...)`` and a stitched
+  :class:`~repro.parallel.engine.ShardedCompressor` stream),
+  :func:`~repro.deflate.splitter.zlib_compress_adaptive` with the cut
+  search, the sniff or the profile varied, and
+  :func:`~repro.transcode.transcode` of a zlib and a gzip stream.
 
 The ``best`` rows need numpy: without it the ``sa`` matcher runs its
 pure-Python builder, whose search history is shorter by design, so its
@@ -26,10 +36,15 @@ import pytest
 
 from repro.api import compress
 from repro.batch import compress_batch
+from repro.deflate import gzip_container
+from repro.deflate.block_writer import BlockStrategy
+from repro.deflate.preset_dict import compress_with_dict
+from repro.deflate.splitter import zlib_compress_adaptive
 from repro.deflate.stream import ZLibStreamCompressor
 from repro.lzss.tokens import MIN_LOOKAHEAD
-from repro.parallel.engine import compress_shard_body
+from repro.parallel.engine import ShardedCompressor, compress_shard_body
 from repro.profile import as_profile
+from repro.transcode import transcode
 from repro.workloads.corpus import sample
 from repro.workloads.messages import html_messages, json_messages
 
@@ -237,3 +252,172 @@ def test_batch_output_unchanged(kind, backend, with_dict):
     key = f"{kind}/{backend}/{'zdict' if with_dict else 'plain'}"
     assert _digest(batch_output(kind, backend, with_dict)) == \
         GOLDEN_BATCH[key]
+
+
+# -- one-shot entry points, containers, dictionaries, transcode ---------
+
+ONESHOT_INPUTS = ("syslog", "random", "empty", "tiny")
+STRATEGIES = ("fixed", "dynamic", "stored", "adaptive")
+BIG = 200 * 1024
+ZDICT_SIZE = 24 * 1024
+
+
+def _input(name: str) -> bytes:
+    if name == "empty":
+        return b""
+    if name == "tiny":
+        return b"hello, hello world"  # 18 B
+    return sample(name, SIZE)
+
+
+def _zdict_case():
+    """24 KiB of syslog and a 3,000 B dictionary cut from further on."""
+    return sample("syslog", ZDICT_SIZE), sample("syslog", 40 * 1024)[-3000:]
+
+
+def _transcode_input(container: str) -> bytes:
+    data = sample("wiki", SIZE)
+    if container == "zlib":
+        return compress(data, profile="fastest")
+    return gzip_container.compress(data, strategy=BlockStrategy.FIXED)
+
+
+def entry_output(key: str) -> bytes:
+    entry, _, rest = key.partition("/")
+    if entry in ("api", "gzip"):
+        strategy, _, name = rest.partition("/")
+        strategy = BlockStrategy(strategy)
+        if name == "random-200k":
+            data = sample("random", BIG)
+        else:
+            data = _input(name)
+        if entry == "api":
+            return compress(data, strategy=strategy)
+        return gzip_container.compress(data, strategy=strategy)
+    if entry == "zdict":
+        data, zdict = _zdict_case()
+        if rest == "compress_with_dict":
+            return compress_with_dict(data, zdict)
+        if rest == "api":
+            return compress(data, zdict=zdict)
+        return ShardedCompressor(
+            workers=1, shard_size=8192, carry_window=True, zdict=zdict,
+        ).compress(data).data
+    if entry == "adaptive":
+        if rest == "no-sniff":
+            return zlib_compress_adaptive(sample("random", 2 * SIZE),
+                                          sniff=False)
+        data = sample("mixed", 3 * SIZE)
+        if rest == "no-cut-search":
+            return zlib_compress_adaptive(data, cut_search=False)
+        if rest == "fastest":
+            return zlib_compress_adaptive(data, profile="fastest")
+        return zlib_compress_adaptive(data)
+    if entry == "transcode":
+        return transcode(_transcode_input(rest)).data
+    raise KeyError(key)
+
+
+ENTRY_KEYS = (
+    [f"{entry}/{strategy}/{name}"
+     for entry in ("api", "gzip")
+     for strategy in STRATEGIES
+     for name in ONESHOT_INPUTS]
+    + ["gzip/adaptive/random-200k",
+       "zdict/compress_with_dict", "zdict/api", "zdict/shards",
+       "adaptive/default", "adaptive/no-cut-search", "adaptive/no-sniff",
+       "adaptive/fastest",
+       "transcode/zlib", "transcode/gzip"]
+)
+
+GOLDEN_ENTRY = {
+    "api/fixed/syslog":
+        "8a8f434b4ca37ce2bb6d497efada5b98d2da75db2cf910fa6ba7ef56e6695369",
+    "api/fixed/random":
+        "0eb6f7afd4e3b9a5f7e48f993100cf9e453d4d48c1041de36c384966ad49aad7",
+    "api/fixed/empty":
+        "7fd613ce78df79adf47f1b0ec634ac7451ca243d5332b3eb115c1f65a26dc67c",
+    "api/fixed/tiny":
+        "76a88c937f29d8697f1937f030c4e428cd24f4b0931810af8b49bc030686dfff",
+    "api/dynamic/syslog":
+        "5f8eed96fb1fa63f060a33f5e0295d50be3b75a7d545e03182d7cc0a8c925aaa",
+    "api/dynamic/random":
+        "86c2a29c15a70f34ede8d14a5b5e28bfe2f0db8cbbd5bbfe4b700222c63dd658",
+    "api/dynamic/empty":
+        "edf6e5052a48eb6c3ca139b6b38bbb5478fbbb86d78ab50d93e8ea405b620adf",
+    "api/dynamic/tiny":
+        "14090782ab7bfbd3d742519c7872ed5d0a12877a72a787b28c53e60b66243643",
+    "api/stored/syslog":
+        "17815e7b2cc35bac38a0288f27360405eb68a605adce26aba840b28446906ad9",
+    "api/stored/random":
+        "cdba7cfb71e6a7fbcc9092efb628c968bfdd5f30d6a89b998631c90a61133cc6",
+    "api/stored/empty":
+        "247e7a3475060bc26ce3bb035fa9341cbc9e767d883fbda46796303d243c0ec0",
+    "api/stored/tiny":
+        "4c87c2a2b8f5576179c3ec848b876c1a2d91c71e59591bc4f97ec7932eb7a1f8",
+    "api/adaptive/syslog":
+        "5f8eed96fb1fa63f060a33f5e0295d50be3b75a7d545e03182d7cc0a8c925aaa",
+    "api/adaptive/random":
+        "cdba7cfb71e6a7fbcc9092efb628c968bfdd5f30d6a89b998631c90a61133cc6",
+    "api/adaptive/empty":
+        "7fd613ce78df79adf47f1b0ec634ac7451ca243d5332b3eb115c1f65a26dc67c",
+    "api/adaptive/tiny":
+        "76a88c937f29d8697f1937f030c4e428cd24f4b0931810af8b49bc030686dfff",
+    "gzip/fixed/syslog":
+        "e64978e1ff71e43ab381702e659bf878051777ff9be35ece6cf4bfff5779ba8e",
+    "gzip/fixed/random":
+        "7eca51c2bd344f1d00ded88685b52ddfde401dba46c06e2b9cee69e319170843",
+    "gzip/fixed/empty":
+        "458c5a203299dd326aa747fee1bbc7709bfbd560507d1603459d9f7d9eb6be76",
+    "gzip/fixed/tiny":
+        "853cf3ff82ab1103227d96bbc636f386c28777c6e94d635dcdaf051c93de6ded",
+    "gzip/dynamic/syslog":
+        "5d0ed6e8975d6369085e5fbb587173d920091006da90e78dde790fb81bf1117f",
+    "gzip/dynamic/random":
+        "da1a1697f16f92b7a2e99d57d8fb093c58895d7ce9d06c35259ed0c9b4e7254e",
+    "gzip/dynamic/empty":
+        "0fa1c1ab792a594f9b9cbdf8840feefc749b204a05291bdfef5711dce7b66f11",
+    "gzip/dynamic/tiny":
+        "997ebda4ff3887a8e97c764ed01f8ea9ac84e39cae8b3f763ea8d0352f319071",
+    "gzip/stored/syslog":
+        "fa7475759ba5e37c7e99a0c087ad03766e53025afba3ba4c459c5c5414a9db9b",
+    "gzip/stored/random":
+        "4729e2ef0a3f04d69a29f0a2e1d1d9b7cbfe2ff150f7d0aff93dcfe9676c6706",
+    "gzip/stored/empty":
+        "81da0491c5af5635831f6a3febb5d9bfd66987ba3ecc42e58dc3d80938c25705",
+    "gzip/stored/tiny":
+        "af3388f1eaca2b11d71d14fcf283fdc36ec3fd9fa2ecfe0428ae717ee4f203fa",
+    "gzip/adaptive/syslog":
+        "5d0ed6e8975d6369085e5fbb587173d920091006da90e78dde790fb81bf1117f",
+    "gzip/adaptive/random":
+        "4729e2ef0a3f04d69a29f0a2e1d1d9b7cbfe2ff150f7d0aff93dcfe9676c6706",
+    "gzip/adaptive/empty":
+        "458c5a203299dd326aa747fee1bbc7709bfbd560507d1603459d9f7d9eb6be76",
+    "gzip/adaptive/tiny":
+        "853cf3ff82ab1103227d96bbc636f386c28777c6e94d635dcdaf051c93de6ded",
+    "gzip/adaptive/random-200k":
+        "98670c795ff05ccca4fe993c61a60eba848ad043b44eb8bf596a7a7ae7b4a684",
+    "zdict/compress_with_dict":
+        "90c026262cb75bc4e832df95ea44410b72c4d291a8a5481d6fc097abcda5b9ba",
+    "zdict/api":
+        "90c026262cb75bc4e832df95ea44410b72c4d291a8a5481d6fc097abcda5b9ba",
+    "zdict/shards":
+        "71a4ad7bbbb76959a7bdf6f1ef54931522312bce43242f7726f9174d2a75ee98",
+    "adaptive/default":
+        "8c29290bc42f5bfa9fd9bdd0ad8b927751df9aabaff892b2360b4fb4b0aa362b",
+    "adaptive/no-cut-search":
+        "dc6ec6acde16b2bac0f5c6c298619293ea98732b49f75761903284ca5292cf6f",
+    "adaptive/no-sniff":
+        "05bc3e972d2f1be38b9553ce2a6e79479afa1f1de64e0285234533941f987baf",
+    "adaptive/fastest":
+        "dc6ec6acde16b2bac0f5c6c298619293ea98732b49f75761903284ca5292cf6f",
+    "transcode/zlib":
+        "d8292c6706b851def78a3673f02dfc7756899818c3547c4557ac6aba2466117b",
+    "transcode/gzip":
+        "87ae358c5dcb30b05eeb81c172d5a8b979056c34c6674ddce24c94b5ca16755b",
+}
+
+
+@pytest.mark.parametrize("key", ENTRY_KEYS)
+def test_entry_point_output_unchanged(key):
+    assert _digest(entry_output(key)) == GOLDEN_ENTRY[key]
