@@ -28,7 +28,12 @@ raises :class:`~repro.errors.ConfigError` naming the exact replacement
 
 The module also exposes :func:`compress` — the one-call convenience
 that takes bytes plus any combination of ``profile=`` and knobs and
-returns a finished ZLib stream::
+returns a finished ZLib stream. There is no per-strategy or
+per-dictionary dispatch: every strategy, with or without ``zdict``,
+runs the one per-chunk body the stream and shard engines run
+(:func:`repro.deflate.stream.deflate_chunk`) under the resolved
+settings, and :func:`compress` adds only the (FDICT) header and the
+Adler-32 trailer::
 
     from repro.api import compress
     stream = compress(data, profile="best")
@@ -94,6 +99,14 @@ class ResolvedCompression:
     zdict: bytes
     batch_shared_plan: bool
     router: RouterConfig
+
+    def tokenizer(self):
+        """An :class:`~repro.lzss.compressor.LZSSCompressor` for these
+        settings (window, hash, policy and backend)."""
+        from repro.lzss.compressor import LZSSCompressor
+
+        return LZSSCompressor(self.window_size, self.hash_spec,
+                              self.policy, backend=self.backend)
 
 
 #: Fields an entry point may supply defaults for in ``resolve()``.
@@ -244,48 +257,25 @@ def compress(
 
     Accepts a ready :class:`CompressRequest` and/or any of its fields
     as keyword arguments (``profile=``, ``backend=``, ``strategy=``,
-    ``zdict=``, ...). Dispatches on the resolved settings:
+    ``zdict=``, ...). The body is the one per-chunk pipeline,
+    :func:`repro.deflate.stream.deflate_raw`, under the resolved
+    settings — every strategy, with the sniff, cut search and refine
+    loop as resolved; this function only frames it:
 
-    * a non-empty ``zdict`` produces an FDICT-framed stream
-      (:func:`repro.deflate.preset_dict.compress_with_dict`; fixed
-      Huffman body, matching the CLI's ``--zdict`` contract);
-    * ``BlockStrategy.ADAPTIVE`` runs the adaptive splitter with the
-      cut search, sniff and refine loop as resolved;
-    * any other strategy runs the single-strategy container path.
+    * the ZLib header, with FDICT and the DICTID when a non-empty
+      ``zdict`` is set (its window-reachable tail then primes the
+      matcher; decode with ``zlib.decompressobj(zdict=...)``);
+    * the Adler-32 trailer.
     """
-    req = request_from(request, **kwargs)
-    resolved = req.resolve()
-    from repro.deflate.block_writer import BlockStrategy
+    from repro.checksums.adler32 import adler32
+    from repro.deflate.stream import deflate_raw
+    from repro.deflate.zlib_container import make_header
+    from repro.lzss.tokens import effective_dictionary
 
-    if resolved.zdict:
-        from repro.deflate.preset_dict import compress_with_dict
-
-        return compress_with_dict(
-            data, resolved.zdict,
-            window_size=resolved.window_size,
-            hash_spec=resolved.hash_spec,
-            policy=resolved.policy,
-        )
-    if resolved.strategy is BlockStrategy.ADAPTIVE:
-        from repro.deflate.splitter import zlib_compress_adaptive
-
-        return zlib_compress_adaptive(
-            data,
-            window_size=resolved.window_size,
-            hash_spec=resolved.hash_spec,
-            policy=resolved.policy,
-            tokens_per_block=resolved.tokens_per_block,
-            cut_search=resolved.cut_search,
-            sniff=resolved.sniff,
-            backend=resolved.backend,
-            refine=resolved.refine,
-        )
-    from repro.deflate.zlib_container import ZLibCompressor
-
-    return ZLibCompressor(
-        window_size=resolved.window_size,
-        hash_spec=resolved.hash_spec,
-        policy=resolved.policy,
-        strategy=resolved.strategy,
-        backend=resolved.backend,
-    ).compress(data).data
+    resolved = request_from(request, **kwargs).resolve()
+    dictionary = effective_dictionary(resolved.zdict, resolved.window_size)
+    return (
+        make_header(resolved.window_size, dictionary)
+        + deflate_raw(data, resolved, history=dictionary)
+        + adler32(data).to_bytes(4, "big")
+    )

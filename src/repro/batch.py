@@ -35,7 +35,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.checksums.adler32 import adler32_many
 from repro.deflate.batch_emit import emit_batch
-from repro.deflate.preset_dict import fdict_header
 from repro.deflate.zlib_container import make_header
 from repro.errors import ConfigError
 from repro.lzss.backends import resolve
@@ -167,11 +166,8 @@ def compress_batch(
                 f"(batch has {len(payloads)} payloads)"
             )
 
-    dictionary = effective_dictionary(zdict, window_size) if zdict else b""
-    header = (
-        fdict_header(window_size, dictionary) if dictionary
-        else make_header(window_size)
-    )
+    dictionary = effective_dictionary(zdict, window_size)
+    header = make_header(window_size, dictionary)
 
     if not payloads:
         routing = RoutingDecision(

@@ -11,10 +11,9 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.checksums.crc32 import crc32
-from repro.deflate.block_writer import BlockStrategy, deflate_tokens
+from repro.deflate.block_writer import BlockStrategy
 from repro.deflate.inflate import inflate_with_tail
 from repro.errors import GzipContainerError
-from repro.lzss.compressor import LZSSCompressor
 from repro.lzss.hashchain import HashSpec
 from repro.lzss.policy import MatchPolicy
 
@@ -53,10 +52,28 @@ def compress(
     policy: Optional[MatchPolicy] = None,
     strategy: BlockStrategy = BlockStrategy.FIXED,
 ) -> bytes:
-    """Compress ``data`` into a gzip member."""
-    result = LZSSCompressor(window_size, hash_spec, policy).compress(data)
-    body = deflate_tokens(result.tokens, strategy)
-    return member_header() + body + member_trailer(crc32(data), len(data))
+    """Compress ``data`` into a gzip member.
+
+    The body is :func:`repro.deflate.stream.deflate_raw` — the same
+    Deflate bytes :func:`repro.api.compress` frames for ZLib.
+    """
+    from repro.api import CompressRequest
+
+    config = CompressRequest(
+        window_size=window_size, hash_spec=hash_spec, policy=policy,
+        strategy=strategy,
+    ).resolve()
+    return frame_member(data, config)
+
+
+def frame_member(data: bytes, config) -> bytes:
+    """A gzip member for ``data`` compressed under a resolved config."""
+    from repro.deflate.stream import deflate_raw
+
+    return (
+        member_header() + deflate_raw(data, config)
+        + member_trailer(crc32(data), len(data))
+    )
 
 
 def decompress(data: bytes, max_output: Optional[int] = None) -> bytes:

@@ -16,44 +16,11 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Optional
 
-from repro.checksums.adler32 import adler32
-from repro.deflate.block_writer import BlockStrategy, deflate_tokens
-from repro.deflate.inflate import inflate_with_tail
-from repro.deflate.zlib_container import effective_dict, make_header
+from repro.deflate.block_writer import BlockStrategy
+from repro.deflate.zlib_container import decompress, parse_header_info
 from repro.errors import ConfigError, ZLibContainerError
-from repro.lzss.compressor import LZSSCompressor
 from repro.lzss.hashchain import HashSpec
 from repro.lzss.policy import MatchPolicy
-from repro.lzss.tokens import TokenArray
-
-_CM_DEFLATE = 8
-_FDICT_BIT = 0x20
-
-
-def _make_fdict_header(window_size: int, dictionary: bytes) -> bytes:
-    """CMF/FLG with FDICT set, followed by the 4-byte DICTID."""
-    base = make_header(window_size)
-    cmf = base[0]
-    flg = _FDICT_BIT
-    rem = (cmf * 256 + flg) % 31
-    if rem:
-        flg += 31 - rem
-    return bytes([cmf, flg]) + adler32(dictionary).to_bytes(4, "big")
-
-
-def fdict_header(window_size: int, dictionary: bytes) -> bytes:
-    """Public FDICT framing hook (header + DICTID) for batch callers.
-
-    The batched engine (:mod:`repro.batch`) primes N payloads with one
-    shared dictionary and frames each as an independent FDICT stream;
-    it builds the 6-byte prefix once through this hook. ``dictionary``
-    must already be trimmed to the referenceable window tail
-    (:func:`repro.lzss.batch.effective_dictionary`) — the DICTID is the
-    Adler-32 of exactly the bytes the decompressor must preload.
-    """
-    if not dictionary:
-        raise ConfigError("FDICT framing requires a non-empty dictionary")
-    return _make_fdict_header(window_size, dictionary)
 
 
 def compress_with_dict(
@@ -65,40 +32,18 @@ def compress_with_dict(
 ) -> bytes:
     """Compress ``data`` with ``dictionary`` priming the window.
 
-    The output is a standard FDICT ZLib stream:
-    ``zlib.decompressobj(zdict=dictionary)`` accepts it.
+    The output is a standard FDICT ZLib stream with a fixed-Huffman
+    body: ``zlib.decompressobj(zdict=dictionary)`` accepts it. A thin
+    wrapper over ``repro.api.compress(zdict=..., strategy=FIXED)``,
+    which takes any block strategy.
     """
+    from repro.api import compress
+
     if not dictionary:
         raise ConfigError("dictionary must be non-empty (use compress())")
-    # Only the last window's worth can ever be referenced.
-    dictionary = effective_dict(dictionary, window_size)
-
-    # Prime by compressing dictionary+data and keeping only the tokens
-    # that start inside `data` (matches may reach back into the
-    # dictionary; the decompressor's window is pre-loaded with it).
-    compressor = LZSSCompressor(window_size, hash_spec, policy)
-    base = len(dictionary)
-    combined = dictionary + data
-    result = compressor.compress(combined)
-    tokens = TokenArray()
-    pos = 0
-    for length, value in zip(result.tokens.lengths, result.tokens.values):
-        step = length if length else 1
-        if pos >= base:
-            tokens.lengths.append(length)
-            tokens.values.append(value)
-        elif pos + step > base:
-            # Token straddling the boundary: re-emit its data-part as
-            # literals (it cannot be safely truncated into a match).
-            for q in range(base, pos + step):
-                tokens.append_literal(combined[q])
-        pos += step
-
-    body = deflate_tokens(tokens, BlockStrategy.FIXED)
-    return (
-        _make_fdict_header(window_size, dictionary)
-        + body
-        + adler32(data).to_bytes(4, "big")
+    return compress(
+        data, zdict=dictionary, window_size=window_size,
+        hash_spec=hash_spec, policy=policy, strategy=BlockStrategy.FIXED,
     )
 
 
@@ -107,40 +52,16 @@ def decompress_with_dict(
     dictionary: bytes,
     max_output: Optional[int] = None,
 ) -> bytes:
-    """Decode an FDICT ZLib stream produced with ``dictionary``."""
-    if len(stream) < 6:
-        raise ZLibContainerError("stream shorter than an FDICT header")
-    cmf, flg = stream[0], stream[1]
-    if cmf & 0x0F != _CM_DEFLATE:
-        raise ZLibContainerError(
-            f"unsupported compression method {cmf & 0xF}"
-        )
-    if (cmf * 256 + flg) % 31:
-        raise ZLibContainerError("FCHECK failure in CMF/FLG")
-    if not flg & _FDICT_BIT:
+    """Decode an FDICT ZLib stream produced with ``dictionary``.
+
+    ``max_output`` is enforced inside the decoder, aborting bombs
+    mid-stream; a plain (non-FDICT) stream is rejected.
+    """
+    if not parse_header_info(stream).fdict:
         raise ZLibContainerError(
             "stream has no FDICT flag; use plain decompress()"
         )
-    dictid = int.from_bytes(stream[2:6], "big")
-    window_size = 1 << ((cmf >> 4) + 8)
-    effective = effective_dict(dictionary, window_size)
-    if adler32(effective) != dictid and adler32(dictionary) != dictid:
-        raise ZLibContainerError(
-            f"DICTID {dictid:#010x} does not match the supplied dictionary"
-        )
-
-    # Decode with the history primed by the dictionary; ``max_output``
-    # is enforced inside the decoder, aborting bombs mid-stream.
-    payload, consumed = inflate_with_tail(
-        stream[6:], max_output=max_output, zdict=effective
-    )
-    trailer = stream[6 + consumed:6 + consumed + 4]
-    if len(trailer) < 4:
-        raise ZLibContainerError("stream truncated before Adler-32 trailer")
-    expected = int.from_bytes(trailer, "big")
-    if adler32(payload) != expected:
-        raise ZLibContainerError("Adler-32 mismatch")
-    return payload
+    return decompress(stream, max_output=max_output, zdict=dictionary)
 
 
 def train_dictionary(

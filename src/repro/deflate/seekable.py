@@ -31,11 +31,8 @@ import struct
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.deflate.preset_dict import (
-    compress_with_dict,
-    decompress_with_dict,
-)
-from repro.deflate.zlib_container import compress as zlib_compress
+from repro.api import compress
+from repro.deflate.preset_dict import decompress_with_dict
 from repro.deflate.zlib_container import decompress as zlib_decompress
 from repro.errors import ConfigError, FormatError
 from repro.lzss.hashchain import HashSpec
@@ -99,16 +96,10 @@ def create(
     payload = bytearray()
     for start in range(0, len(data), block_size) or [0]:
         chunk = data[start:start + block_size]
-        if dictionary:
-            blob = compress_with_dict(
-                chunk, dictionary, window_size=window_size,
-                hash_spec=hash_spec, policy=policy,
-            )
-        else:
-            blob = zlib_compress(
-                chunk, window_size=window_size, hash_spec=hash_spec,
-                policy=policy,
-            )
+        blob = compress(
+            chunk, zdict=dictionary, window_size=window_size,
+            hash_spec=hash_spec, policy=policy,
+        )
         entries.append(
             BlockEntry(
                 compressed_offset=len(payload),

@@ -21,15 +21,18 @@ Two signals, both sampled so the sniff stays O(sample) not O(shard):
   that almost no 3-byte window recurs within the probes (a recurring
   trigram is exactly what seeds an LZSS match).
 
-Only when *both* signals say "no yield" does
-:func:`looks_incompressible` return True and the shard pipeline
-(:func:`repro.parallel.engine.compress_shard_body`,
-:class:`repro.deflate.stream.ZLibStreamCompressor`) emit multi-chunk
-stored blocks directly, skipping tokenization entirely. A false
-negative merely runs the normal adaptive path; a false positive costs
-at most the stored framing (~9 bytes per 64 KiB) on data that would
-not have compressed anyway — the sniff never affects correctness, only
-where the wall-clock goes.
+The probe itself is :func:`repro.lzss.router.probe_shard`, which
+measures the entropy first and runs the dearer trigram pass only when
+the entropy (and the buffer size) could still allow a bypass. Only when
+*both* signals say "no yield" is the chunk incompressible, and
+:func:`repro.deflate.stream.deflate_chunk` — the per-chunk body of
+every ADAPTIVE entry point (one-shot, stream, shard) — emits
+multi-chunk stored blocks directly, skipping tokenization entirely.
+:func:`looks_incompressible` is the same verdict for a bare buffer. A
+false negative merely runs the normal adaptive path; a false positive
+costs at most the stored framing (~9 bytes per 64 KiB) on data that
+would not have compressed anyway — the sniff never affects
+correctness, only where the wall-clock goes.
 """
 
 from __future__ import annotations
@@ -115,37 +118,14 @@ def trigram_repeat_fraction(data, probe_bytes: int = SNIFF_PROBE_BYTES
     return worst
 
 
-def incompressible_from_signals(
-    input_bytes: int, entropy_bits: float, trigram_repeat: float
-) -> bool:
-    """The stored-bypass verdict from already-computed signals.
-
-    Split out so a caller that measured the signals once (the per-chunk
-    probe, :func:`repro.lzss.router.probe_shard`) can keep them in its
-    decision record. Must stay the single source of the thresholds:
-    :func:`looks_incompressible` and the router probe agree by
-    construction because both call here.
-    """
-    if input_bytes < MIN_SNIFF_BYTES:
-        return False
-    if entropy_bits < ENTROPY_BYPASS_BITS:
-        return False
-    return trigram_repeat < TRIGRAM_REPEAT_LIMIT
-
-
 def looks_incompressible(data) -> bool:
     """True when ``data`` should skip tokenization and go STORED.
 
-    The decision point of the stored bypass: both the entropy and the
-    trigram signal must clear their thresholds. Small buffers never
-    bypass — their tokenization is cheap and the sample too noisy.
+    The verdict of :func:`repro.lzss.router.probe_shard`, which applies
+    the thresholds above: both the entropy and the trigram signal must
+    clear them, and small buffers never bypass — their tokenization is
+    cheap and the sample too noisy.
     """
-    if len(data) < MIN_SNIFF_BYTES:
-        return False
-    entropy = sampled_entropy_bits(data)
-    if entropy < ENTROPY_BYPASS_BITS:
-        # Cheap short-circuit: no need for the trigram pass.
-        return False
-    return incompressible_from_signals(
-        len(data), entropy, trigram_repeat_fraction(data)
-    )
+    from repro.lzss.router import probe_shard
+
+    return probe_shard(data).incompressible

@@ -833,7 +833,6 @@ def zlib_compress_adaptive(
     tokens_per_block: Optional[int] = None,
     traced: Optional[bool] = None,
     cut_search: Optional[bool] = None,
-    cut_every: Optional[int] = None,
     sniff: Optional[bool] = None,
     backend: Optional[str] = None,
     refine: Optional[bool] = None,
@@ -841,57 +840,29 @@ def zlib_compress_adaptive(
 ) -> bytes:
     """Full ZLib stream with per-block strategy choice.
 
-    Runs the trace-free fast tokenizer by default (``backend=`` selects
-    another registered tokenizer, ``"traced"`` the instrumented path;
-    the token streams of the hash-chain backends are identical — see
-    :mod:`repro.lzss.backends`). ``refine=True`` re-parses each
+    ``repro.api.compress(strategy=ADAPTIVE, ...)``: the trace-free fast
+    tokenizer by default (``backend=`` selects another registered
+    tokenizer), the cut search, and ``refine=True`` re-parsing each
     searched block against its own emerging Huffman prices
     (:func:`refine_searched_blocks`). ``sniff`` short-circuits data the
-    entropy sniff (:func:`repro.deflate.sniff.looks_incompressible`)
-    deems incompressible straight into multi-chunk stored blocks,
-    skipping tokenization entirely. The removed ``traced=`` boolean now
-    raises :class:`~repro.errors.ConfigError`.
+    entropy probe (:func:`repro.lzss.router.probe_shard`) deems
+    incompressible straight into multi-chunk stored blocks, skipping
+    tokenization entirely. The removed ``traced=`` boolean raises
+    :class:`~repro.errors.ConfigError`.
     """
-    from repro.api import CompressRequest, reject_legacy_trace
-    from repro.checksums.adler32 import adler32
-    from repro.deflate.sniff import looks_incompressible
-    from repro.deflate.zlib_container import make_header
-    from repro.lzss.compressor import LZSSCompressor
+    from repro.api import compress, reject_legacy_trace
 
     reject_legacy_trace("traced", traced)
-    resolved = CompressRequest(
+    return compress(
+        data,
         profile=profile,
         window_size=window_size,
         hash_spec=hash_spec,
         policy=policy,
+        strategy=BlockStrategy.ADAPTIVE,
         tokens_per_block=tokens_per_block,
         cut_search=cut_search,
         sniff=sniff,
         backend=backend,
         refine=refine,
-    ).resolve(backend="fast")
-    refine_config = (
-        RefineConfig(window_size=resolved.window_size)
-        if resolved.refine and resolved.cut_search else None
-    )
-    if resolved.sniff and looks_incompressible(data):
-        writer = BitWriter()
-        write_stored_block(writer, data, final=True)
-        body = writer.flush()
-    else:
-        compressor = LZSSCompressor(
-            resolved.window_size, resolved.hash_spec, resolved.policy,
-            backend=resolved.backend,
-        )
-        result = compressor.compress(data)
-        split = deflate_adaptive(result.tokens, data,
-                                 resolved.tokens_per_block,
-                                 cut_search=resolved.cut_search,
-                                 cut_every=cut_every,
-                                 refine=refine_config)
-        body = split.body
-    return (
-        make_header(resolved.window_size)
-        + body
-        + adler32(data).to_bytes(4, "big")
     )

@@ -12,18 +12,22 @@ Matches continue *across* chunk boundaries: the compressor keeps the
 sliding window's worth of history, so chunked output is only marginally
 larger than one-shot output (block framing + flush markers).
 
-:func:`deflate_chunk` is the per-chunk body both carried-history entry
-points run — this stream compressor and the sharded engine's
-:func:`~repro.parallel.engine.compress_shard_body`: stored-bypass
-sniff, trace-sample decision, tokenize against the history, then
-FIXED/DYNAMIC/ADAPTIVE emission. The shard path only adds its sync
-marker (:func:`write_sync_marker`).
+:func:`deflate_chunk` is the per-chunk body every compressing entry
+point runs on plaintext: stored strategy or stored-bypass sniff,
+trace-sample decision, tokenize against the history, then
+FIXED/DYNAMIC/ADAPTIVE emission. Each entry point only frames it — this
+stream compressor adds the ZLib header, sync markers and trailer; the
+sharded engine's shards (:func:`~repro.parallel.engine.
+compress_shard_body`) add a sync marker (:func:`write_sync_marker`);
+the one-shot containers (:func:`repro.api.compress`, gzip, preset
+dictionaries, transcode) run it once over the whole input with the last
+block final (:func:`deflate_raw`) between their header and trailer.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.bitio.writer import BitWriter
 from repro.checksums.adler32 import Adler32
@@ -34,11 +38,7 @@ from repro.deflate.block_writer import (
     write_stored_block,
 )
 from repro.deflate.dynamic import write_dynamic_block
-from repro.deflate.splitter import (
-    DEFAULT_TOKENS_PER_BLOCK,
-    RefineConfig,
-    write_adaptive_blocks,
-)
+from repro.deflate.splitter import RefineConfig, write_adaptive_blocks
 from repro.deflate.zlib_container import make_header
 from repro.errors import ConfigError
 from repro.estimator.calibration import (
@@ -49,13 +49,11 @@ from repro.estimator.calibration import (
 from repro.lzss.compressor import LZSSCompressor
 from repro.lzss.hashchain import HashSpec
 from repro.lzss.policy import MatchPolicy
-from repro.lzss.router import (
-    RouterConfig,
-    RoutingDecision,
-    probe_shard,
-    route_shard,
-)
-from repro.lzss.tokens import MIN_LOOKAHEAD, TokenArray
+from repro.lzss.router import RoutingDecision, probe_shard, route_shard
+from repro.lzss.tokens import MIN_LOOKAHEAD, TokenArray, trim_prefix_tokens
+
+if TYPE_CHECKING:  # repro.api resolves through deflate modules
+    from repro.api import ResolvedCompression
 
 
 def tokenize_chunk_with_result(
@@ -78,67 +76,26 @@ def tokenize_chunk_with_result(
     ``window_size + MIN_LOOKAHEAD`` bytes back is unreachable by
     construction (ZLib's MAX_DIST).
 
-    The split point is found by skip-scanning only the history-prefix
-    tokens with a running position; the chunk's tokens — the bulk on any
-    real chunk size — transfer in two C-level ``array.extend`` calls
-    instead of a Python-level append per token.
+    The tokens covering the history are dropped by
+    :func:`~repro.lzss.tokens.trim_prefix_tokens` — the one place that
+    rule lives, shared with the batch engine's dictionary trim.
 
     Returns ``(tokens, result)`` — the chunk's tokens plus the full
     :class:`~repro.lzss.compressor.CompressResult` of the underlying
     pass, whose ``trace`` (on the ``traced`` backend) feeds the
     traced-sampling telemetry. ``backend`` overrides the compressor's
     configured backend for this call only (the traced-sampling seam).
-
-    Shared by :class:`ZLibStreamCompressor` (chunked streaming) and
-    :mod:`repro.parallel` (carried-window shard compression); most
-    callers want the :func:`tokenize_chunk` wrapper.
+    Most callers want :func:`deflate_chunk`.
     """
     keep = lzss.window_size + MIN_LOOKAHEAD
     assert keep > 0
     if len(history) > keep:
         history = history[-keep:]
-    base = len(history)
     data = history + chunk
     result = lzss.compress(data, backend=backend)
-    src_lengths = result.tokens.lengths
-    src_values = result.tokens.values
-    if base == 0:
+    if not history:
         return result.tokens, result
-    tokens = TokenArray()
-    # Skip tokens fully inside the history: O(tokens in history), which
-    # is bounded by `keep` bytes regardless of chunk size.
-    index = 0
-    count = len(src_lengths)
-    pos = 0
-    while index < count:
-        step = src_lengths[index] or 1
-        if pos + step > base:
-            break
-        pos += step
-        index += 1
-    if index < count and pos < base:
-        # A match straddling the boundary: its chunk-side bytes become
-        # literals (it cannot be split into valid shorter matches).
-        for q in range(base, pos + (src_lengths[index] or 1)):
-            tokens.append_literal(data[q])
-        index += 1
-    tokens.lengths.extend(src_lengths[index:])
-    tokens.values.extend(src_values[index:])
-    return tokens, result
-
-
-def tokenize_chunk(
-    lzss: LZSSCompressor,
-    history: bytes,
-    chunk: bytes,
-    backend: Optional[str] = None,
-) -> TokenArray:
-    """Tokenise ``chunk`` against ``history`` (tokens only).
-
-    See :func:`tokenize_chunk_with_result` for the semantics; this
-    wrapper drops the underlying :class:`CompressResult`.
-    """
-    return tokenize_chunk_with_result(lzss, history, chunk, backend)[0]
+    return trim_prefix_tokens(result.tokens, data, len(history)), result
 
 
 def write_sync_marker(writer: BitWriter) -> None:
@@ -159,48 +116,53 @@ def deflate_chunk(
     lzss: LZSSCompressor,
     history: bytes,
     chunk: bytes,
+    config: ResolvedCompression,
     *,
-    strategy: BlockStrategy,
-    router: Optional[RouterConfig] = None,
     index: int = 0,
-    sniff: bool = True,
-    tokens_per_block: int = DEFAULT_TOKENS_PER_BLOCK,
-    cut_search: bool = True,
-    refine: Optional[RefineConfig] = None,
+    final: bool = False,
 ) -> Tuple[RoutingDecision, Optional[CalibrationPoint]]:
-    """Compress one non-empty chunk into non-final Deflate blocks.
+    """Compress one chunk of plaintext into Deflate blocks.
 
-    The one per-chunk body of the carried-history entry points:
+    The one body every compressing entry point runs on plaintext — the
+    one-shot containers (:func:`deflate_raw`), stream writes and shards:
 
-    1. **sniff** (ADAPTIVE with ``sniff``): a chunk the probe deems
-       incompressible is written as stored blocks and never tokenized.
-       The bypass ignores ``history`` (stored blocks reference nothing),
-       and the caller's next history is plaintext either way;
+    1. **stored** (``config.strategy`` STORED, or ADAPTIVE with
+       ``config.sniff`` when the probe deems the chunk incompressible):
+       the chunk is written as stored blocks and never tokenized. Stored
+       blocks reference nothing, so ``history`` is ignored, and the
+       caller's next history is plaintext either way;
     2. **decide** (:func:`~repro.lzss.router.route_shard`): the
        backend ``lzss`` was configured with, as resolved by the
        registry, or ``traced`` when the traced-sampling policy in
-       ``router`` picks chunk ``index``;
+       ``config.router`` picks chunk ``index``;
     3. **tokenize** against ``history`` with ``lzss``;
-    4. **emit** under ``strategy``: one fixed or dynamic block, or the
-       adaptive best-of-three splitter (with the cut search and the
-       ``refine`` loop as configured; stored payloads slice ``chunk``).
+    4. **emit** under ``config.strategy``: one fixed or dynamic block,
+       or the adaptive best-of-three splitter (with the cut search and
+       the refine loop as configured; stored payloads slice ``chunk``).
 
-    Returns the chunk's :class:`~repro.lzss.router.RoutingDecision` and
-    the :class:`~repro.estimator.calibration.CalibrationPoint` of a
+    ``lzss`` must tokenize with ``config``'s window, hash and policy;
+    the caller keeps it so a stream reuses one compressor. The last
+    block is final when ``final`` is set (one-shot streams); otherwise
+    the run can sit inside a larger stream. Returns the chunk's
+    :class:`~repro.lzss.router.RoutingDecision` and the
+    :class:`~repro.estimator.calibration.CalibrationPoint` of a
     traced-sample chunk (``None`` otherwise).
     """
+    strategy = config.strategy
     probe = None
-    if strategy is BlockStrategy.ADAPTIVE and sniff:
+    if strategy is BlockStrategy.ADAPTIVE and config.sniff:
         probe = probe_shard(chunk)
-        if probe.incompressible:
-            write_stored_block(writer, chunk, final=False)
-            return RoutingDecision(
-                backend="stored", requested=lzss.backend,
-                reason="stored-bypass", probe=probe,
-            ), None
+    if strategy is BlockStrategy.STORED or (
+            probe is not None and probe.incompressible):
+        write_stored_block(writer, chunk, final=final)
+        return RoutingDecision(
+            backend="stored", requested=lzss.backend,
+            reason="stored-strategy" if probe is None else "stored-bypass",
+            probe=probe,
+        ), None
     decision = route_shard(
-        chunk, backend=lzss.backend, policy=lzss.policy, config=router,
-        index=index, probe=probe,
+        chunk, backend=lzss.backend, policy=lzss.policy,
+        config=config.router, index=index, probe=probe,
     )
     started = time.perf_counter()
     tokens, result = tokenize_chunk_with_result(
@@ -212,17 +174,38 @@ def deflate_chunk(
             index, result.trace, time.perf_counter() - started,
             policy=lzss.policy,
         )
-    if strategy is BlockStrategy.FIXED or len(tokens) == 0:
-        write_fixed_block(writer, tokens, final=False)
+    if strategy is BlockStrategy.FIXED:
+        write_fixed_block(writer, tokens, final=final)
     elif strategy is BlockStrategy.ADAPTIVE:
+        # Refine re-parses searched blocks; blind cuts carry no plan.
+        refine = (
+            RefineConfig(window_size=config.window_size)
+            if config.refine and config.cut_search else None
+        )
         write_adaptive_blocks(
-            writer, tokens, chunk, final=False,
-            tokens_per_block=tokens_per_block,
-            cut_search=cut_search, refine=refine,
+            writer, tokens, chunk, final=final,
+            tokens_per_block=config.tokens_per_block,
+            cut_search=config.cut_search, refine=refine,
         )
     else:
-        write_dynamic_block(writer, tokens, final=False)
+        write_dynamic_block(writer, tokens, final=final)
     return decision, telemetry
+
+
+def deflate_raw(
+    data: bytes, config: ResolvedCompression, history: bytes = b""
+) -> bytes:
+    """One finished raw Deflate stream for ``data`` under ``config``.
+
+    The body of every one-shot container (ZLib, FDICT ZLib, gzip):
+    :func:`deflate_chunk` over the whole input with its last block
+    final. ``history`` is the preset dictionary the decoder's window is
+    primed with (already clamped to the window), or empty.
+    """
+    writer = BitWriter()
+    deflate_chunk(writer, config.tokenizer(), history, data, config,
+                  final=True)
+    return writer.flush()
 
 
 class ZLibStreamCompressor:
@@ -279,30 +262,16 @@ class ZLibStreamCompressor:
             raise ConfigError(
                 "use write_stored_block directly for stored streams"
             )
+        #: The resolved settings every chunk compresses under. Chunks
+        #: are also the traced-sampling unit: the router may divert
+        #: chunks through "traced" for telemetry (bytes are identical).
+        self.config = resolved
         self.window_size = resolved.window_size
-        self.strategy = resolved.strategy
-        self.tokens_per_block = resolved.tokens_per_block
-        self.cut_search = resolved.cut_search
-        self.sniff = resolved.sniff
         self.backend = resolved.backend
-        # Refine applies per chunk, inside the adaptive emission, and
-        # only when the cut search carries per-block plans to refine.
-        self.refine = (
-            RefineConfig(window_size=resolved.window_size)
-            if resolved.refine and resolved.cut_search else None
-        )
-        # Chunks are this stream's sampling unit: the policy may divert
-        # chunks through "traced" for telemetry. Bytes are identical
-        # either way.
-        self.router = resolved.router
+        self.refine = resolved.refine
         #: Traced-sample telemetry points (see repro.estimator.calibration).
         self.calibration = CalibrationLog()
-        # Streams default to the trace-free production tokenizer; pass
-        # backend="traced" only when the per-token record is needed.
-        self._lzss = LZSSCompressor(
-            resolved.window_size, resolved.hash_spec, resolved.policy,
-            backend=resolved.backend,
-        )
+        self._lzss = resolved.tokenizer()
         self._chunk_index = 0
         self._writer = BitWriter()
         self._adler = Adler32()
@@ -339,11 +308,8 @@ class ZLibStreamCompressor:
         index = self._chunk_index
         self._chunk_index += 1
         _, telemetry = deflate_chunk(
-            self._writer, self._lzss, self._history, chunk,
-            strategy=self.strategy, router=self.router, index=index,
-            sniff=self.sniff,
-            tokens_per_block=self.tokens_per_block,
-            cut_search=self.cut_search, refine=self.refine,
+            self._writer, self._lzss, self._history, chunk, self.config,
+            index=index,
         )
         if telemetry is not None:
             self.calibration.add(telemetry)

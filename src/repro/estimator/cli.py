@@ -317,10 +317,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_compress(args: argparse.Namespace) -> int:
-    from repro.api import CompressRequest
-    from repro.deflate.block_writer import BlockStrategy
-    from repro.deflate.splitter import zlib_compress_adaptive
-    from repro.deflate.zlib_container import compress as zc
+    from repro.api import compress
 
     with open(args.input, "rb") as handle:
         data = handle.read()
@@ -331,60 +328,28 @@ def _cmd_compress(args: argparse.Namespace) -> int:
         or args.hash_bits is not None or args.gen_bits is not None
     )
     params = _build_params(args) if explicit_hw else None
-    hw = dict(
+    zdict = _read_zdict(args)
+    stream = compress(
+        data,
+        profile=args.profile,
         window_size=params.window_size if params else None,
         hash_spec=params.hash_spec if params else None,
         policy=params.policy if params else None,
+        strategy=_block_strategy(args),
+        backend=args.backend,
+        tokens_per_block=args.tokens_per_block,
+        cut_search=args.cut_search,
+        sniff=args.sniff,
+        refine=args.refine,
+        zdict=zdict or None,
     )
-    # One resolution pass decides the dispatch (adaptive vs one-shot);
-    # the engines re-resolve the same request.
-    resolved = CompressRequest(
-        profile=args.profile, strategy=_block_strategy(args),
-        backend=args.backend, refine=args.refine, **hw,
-    ).resolve()
-    # resolved.backend keeps the library/profile default ("fast" with
-    # no flags — the one-shot container alone would default to traced).
-    backend = args.backend if args.backend is not None \
-        else resolved.backend
-    zdict = _read_zdict(args)
-    if zdict:
-        from repro.deflate.preset_dict import compress_with_dict
-
-        if args.strategy is not None \
-                and resolved.strategy is not BlockStrategy.FIXED:
-            raise SystemExit(
-                "--zdict currently implies --strategy fixed "
-                "(the preset-dictionary path emits fixed-Huffman blocks)"
-            )
-        stream = compress_with_dict(
-            data, zdict, window_size=resolved.window_size,
-            hash_spec=resolved.hash_spec, policy=resolved.policy,
-        )
-        output = args.output or args.input + ".lzz"
-        with open(output, "wb") as handle:
-            handle.write(stream)
-        ratio = len(data) / len(stream) if stream else 0.0
-        print(f"{args.input}: {len(data)} -> {len(stream)} bytes "
-              f"(ratio {ratio:.3f}, FDICT) -> {output}")
-        return 0
-    if resolved.strategy is BlockStrategy.ADAPTIVE:
-        stream = zlib_compress_adaptive(
-            data, profile=args.profile, backend=backend,
-            tokens_per_block=args.tokens_per_block,
-            cut_search=args.cut_search, sniff=args.sniff,
-            refine=args.refine, **hw,
-        )
-    else:
-        stream = zc(
-            data, strategy=_block_strategy(args), backend=backend,
-            profile=args.profile, **hw,
-        )
     output = args.output or args.input + ".lzz"
     with open(output, "wb") as handle:
         handle.write(stream)
     ratio = len(data) / len(stream) if stream else 0.0
+    framing = ", FDICT" if zdict else ""
     print(f"{args.input}: {len(data)} -> {len(stream)} bytes "
-          f"(ratio {ratio:.3f}) -> {output}")
+          f"(ratio {ratio:.3f}{framing}) -> {output}")
     return 0
 
 

@@ -16,8 +16,8 @@ packing contract:
   window is pre-loaded with it) and the dictionary is hashed as part
   of the same single pass instead of once per payload; the tokens
   covering the dictionary region are trimmed afterwards
-  (:func:`trim_dict_tokens` — the same rule as
-  :func:`repro.deflate.preset_dict.compress_with_dict`);
+  (:func:`~repro.lzss.tokens.trim_prefix_tokens`, the same rule every
+  carried-history tokenization applies);
 * the per-segment token streams are **bit-identical** to what the
   scalar per-payload tokenizers produce for the same configuration
   (``tests/properties/test_batch_differential.py`` holds the line), so
@@ -38,7 +38,13 @@ from typing import List, Optional, Sequence
 from repro.lzss.backends import resolve
 from repro.lzss.hashchain import HashSpec
 from repro.lzss.policy import MatchPolicy
-from repro.lzss.tokens import MAX_MATCH, MIN_MATCH, TokenArray
+from repro.lzss.tokens import (
+    MAX_MATCH,
+    MIN_MATCH,
+    TokenArray,
+    effective_dictionary,  # noqa: F401  (re-exported: the batch API)
+    trim_prefix_tokens,
+)
 
 #: The batch engine's default matching policy: greedy, insert-all, one
 #: chain probe per position. Insert-all makes the chain topology
@@ -55,52 +61,6 @@ BATCH_GREEDY_POLICY = MatchPolicy(
     max_lazy=0,
     max_insert_length=MAX_MATCH,
 )
-
-
-def effective_dictionary(dictionary: bytes, window_size: int) -> bytes:
-    """The usable tail of a preset dictionary for ``window_size``.
-
-    Only the last ``window_size - MIN_LOOKAHEAD`` bytes can ever be
-    referenced (same trim as ``compress_with_dict`` and as CPython's
-    ``zlib`` applies on its side).
-    """
-    max_dict = window_size - 262
-    if len(dictionary) > max_dict:
-        return dictionary[-max_dict:]
-    return dictionary
-
-
-def trim_dict_tokens(tokens: TokenArray, combined, base: int) -> TokenArray:
-    """Drop the tokens covering a segment's dictionary prefix.
-
-    ``tokens`` parse ``combined = dictionary + data`` with
-    ``len(dictionary) == base``; the result parses ``data`` alone.
-    Tokens starting at or past ``base`` are kept verbatim (their
-    distances may reach back into the dictionary — that is the point);
-    a match straddling the boundary is re-emitted as literals for its
-    data part, since it cannot be safely truncated into a match.
-    """
-    out = TokenArray()
-    lengths = tokens.lengths
-    values = tokens.values
-    if base <= 0:
-        out.lengths.extend(lengths)
-        out.values.extend(values)
-        return out
-    pos = 0
-    i = 0
-    total = len(lengths)
-    while i < total and pos < base:
-        length = lengths[i]
-        step = length if length else 1
-        if pos + step > base:
-            for q in range(base, pos + step):
-                out.append_literal(combined[q])
-        pos += step
-        i += 1
-    out.lengths.extend(lengths[i:])
-    out.values.extend(values[i:])
-    return out
 
 
 def _tokenize_one(data, window_size, hash_spec, policy, backend: str):
@@ -136,7 +96,7 @@ def tokenize_scalar(
     combined = dictionary + bytes(payload)
     tokens = _tokenize_one(combined, window_size, hash_spec, policy,
                            backend)
-    return trim_dict_tokens(tokens, combined, len(dictionary))
+    return trim_prefix_tokens(tokens, combined, len(dictionary))
 
 
 def _split_counts(tok_len, tok_val, counts) -> List[TokenArray]:
@@ -212,8 +172,9 @@ def _tokenize_packed(
     if base:
         view = memoryview(packed)
         tokens = [
-            trim_dict_tokens(ta, view[int(seg_starts[i]):int(seg_ends[i])],
-                             base)
+            trim_prefix_tokens(
+                ta, view[int(seg_starts[i]):int(seg_ends[i])], base
+            )
             for i, ta in enumerate(tokens)
         ]
     return tokens

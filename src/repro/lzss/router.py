@@ -36,8 +36,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.deflate.sniff import (
+    ENTROPY_BYPASS_BITS,
+    MIN_SNIFF_BYTES,
     SNIFF_SAMPLE_BYTES,
-    incompressible_from_signals,
+    TRIGRAM_REPEAT_LIMIT,
     sampled_entropy_bits,
     trigram_repeat_fraction,
 )
@@ -46,33 +48,41 @@ from repro.errors import ConfigError
 
 @dataclass(frozen=True)
 class ShardProbe:
-    """One chunk's stored-bypass signals, computed once."""
+    """One chunk's stored-bypass signals, computed once.
+
+    ``trigram_repeat`` is ``None`` when the probe short-circuited before
+    measuring it (a chunk under ``MIN_SNIFF_BYTES`` or below the entropy
+    threshold can never bypass).
+    """
 
     input_bytes: int
     entropy_bits: float
-    trigram_repeat: float
+    trigram_repeat: Optional[float]
 
     @property
     def incompressible(self) -> bool:
         """The stored-bypass verdict, from the sampled signals."""
-        return incompressible_from_signals(
-            self.input_bytes, self.entropy_bits, self.trigram_repeat
-        )
+        return (self.trigram_repeat is not None
+                and self.trigram_repeat < TRIGRAM_REPEAT_LIMIT)
 
 
 def probe_shard(data) -> ShardProbe:
-    """Probe one chunk: sampled entropy and trigram repeats.
+    """Probe one chunk: sampled entropy, then trigram repeats if needed.
 
-    O(sample) regardless of chunk size (a strided entropy sample plus a
-    few short contiguous windows); on a 1 MiB shard the probe costs
-    single-digit milliseconds against a tokenization in the hundreds.
+    The stored-bypass decision point, and the one place its thresholds
+    are applied (:func:`repro.deflate.sniff.looks_incompressible` is
+    this verdict). Both signals must clear their thresholds; the
+    trigram pass — the dearer one — runs only for a chunk of at least
+    ``MIN_SNIFF_BYTES`` whose sampled entropy reaches
+    ``ENTROPY_BYPASS_BITS``. O(sample) regardless of chunk size (a
+    strided entropy sample plus a few short contiguous windows).
     """
     view = memoryview(data)
-    return ShardProbe(
-        input_bytes=len(view),
-        entropy_bits=sampled_entropy_bits(view, SNIFF_SAMPLE_BYTES),
-        trigram_repeat=trigram_repeat_fraction(view),
-    )
+    entropy = sampled_entropy_bits(view, SNIFF_SAMPLE_BYTES)
+    trigram = None
+    if len(view) >= MIN_SNIFF_BYTES and entropy >= ENTROPY_BYPASS_BITS:
+        trigram = trigram_repeat_fraction(view)
+    return ShardProbe(len(view), entropy, trigram)
 
 
 @dataclass(frozen=True)

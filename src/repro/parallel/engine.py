@@ -38,22 +38,21 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import List, Optional
 
+from repro.api import ResolvedCompression
 from repro.bitio.writer import BitWriter
 from repro.checksums.adler32 import adler32, adler32_combine
 from repro.deflate.block_writer import BlockStrategy, write_fixed_block
-from repro.deflate.splitter import DEFAULT_TOKENS_PER_BLOCK, RefineConfig
 from repro.deflate.stream import deflate_chunk, write_sync_marker
 from repro.deflate.zlib_container import make_header
 from repro.errors import ConfigError
 from repro.estimator.calibration import CalibrationPoint
 from repro.hw.params import HardwareParams
-from repro.lzss.compressor import LZSSCompressor
 from repro.lzss.router import RouterConfig
-from repro.lzss.tokens import MIN_LOOKAHEAD, TokenArray
-from repro.parallel.stats import ParallelStats, ShardStat
+from repro.lzss.tokens import MIN_LOOKAHEAD, TokenArray, effective_dictionary
+from repro.parallel.stats import ParallelStats
 
 #: Default shard size: 1 MiB, large enough that the sync-marker framing
 #: and the cold dictionary window are noise (<1% ratio penalty on text).
@@ -63,36 +62,37 @@ DEFAULT_SHARD_SIZE = 1 << 20
 #: and the pool overhead exceeds the work; tests use the floor directly.
 MIN_SHARD_SIZE = 1024
 
+#: Resolved settings a ShardedCompressor exposes as attributes.
+_SHARD_SETTINGS = frozenset(
+    f.name for f in fields(ResolvedCompression)
+) - {"zdict"}
+
 
 @dataclass(frozen=True)
 class ShardTask:
     """One shard's job description (picklable for the process pool).
 
-    ``backend`` names the tokenizer this shard runs (see
-    :mod:`repro.lzss.backends`); per-shard overrides let a sampled
-    subset run ``traced`` for live telemetry while the rest stay on a
-    production backend.
+    ``config`` is the resolved compression every shard of the stream
+    runs (:class:`repro.api.ResolvedCompression`, with any
+    :class:`~repro.hw.params.HardwareParams` pinning applied and
+    ``zdict`` cleared — a preset dictionary reaches shard 0 as its
+    ``history``). Its ``backend`` may differ per shard: a sampled
+    subset can run ``traced`` for live telemetry while the rest stay on
+    a production backend.
     """
 
     index: int
     data: bytes
     history: bytes
-    window_size: int
-    hash_spec: object
-    policy: object
-    strategy: BlockStrategy
-    backend: str = "fast"
-    tokens_per_block: int = DEFAULT_TOKENS_PER_BLOCK
-    cut_search: bool = True
-    sniff: bool = True
-    #: Re-parse each searched block against its emerging Huffman prices
-    #: (ADAPTIVE + cut_search only; see repro.deflate.splitter).
-    refine: bool = False
-    #: Traced-sampling policy (None = never sample).
-    router: Optional[RouterConfig] = None
+    config: ResolvedCompression
     #: Also compute the shard's CRC-32 (gzip framing stitches CRCs the
     #: way ZLib framing stitches Adlers; see repro.serve).
     want_crc: bool = False
+
+    @property
+    def backend(self) -> str:
+        """The tokenizer this shard runs (see :mod:`repro.lzss.backends`)."""
+        return self.config.backend
 
 
 @dataclass(frozen=True)
@@ -121,18 +121,9 @@ class ShardResult:
 
 def _compress_shard_parts(
     data: bytes,
-    history: bytes = b"",
-    window_size: int = 4096,
-    hash_spec=None,
-    policy=None,
-    strategy: BlockStrategy = BlockStrategy.FIXED,
-    tokens_per_block: int = DEFAULT_TOKENS_PER_BLOCK,
-    cut_search: bool = True,
-    sniff: bool = True,
-    backend: str = "fast",
-    refine: bool = False,
-    router: Optional[RouterConfig] = None,
-    shard_index: int = 0,
+    history: bytes,
+    config: ResolvedCompression,
+    index: int = 0,
 ):
     """Compress one shard; return (body, decision, telemetry).
 
@@ -146,14 +137,7 @@ def _compress_shard_parts(
     decision = telemetry = None
     if data:
         decision, telemetry = deflate_chunk(
-            writer,
-            LZSSCompressor(window_size, hash_spec, policy, backend=backend),
-            history, data,
-            strategy=strategy, router=router, index=shard_index,
-            sniff=sniff, tokens_per_block=tokens_per_block,
-            cut_search=cut_search,
-            refine=(RefineConfig(window_size=window_size)
-                    if refine and cut_search else None),
+            writer, config.tokenizer(), history, data, config, index=index,
         )
     write_sync_marker(writer)
     return writer.flush(), decision, telemetry
@@ -219,22 +203,7 @@ def compress_shard_body(
         refine=refine,
         router=router,
     ).resolve(backend="fast")
-    body, _, _ = _compress_shard_parts(
-        data,
-        history=history,
-        window_size=resolved.window_size,
-        hash_spec=resolved.hash_spec,
-        policy=resolved.policy,
-        strategy=resolved.strategy,
-        tokens_per_block=resolved.tokens_per_block,
-        cut_search=resolved.cut_search,
-        sniff=resolved.sniff,
-        backend=resolved.backend,
-        refine=resolved.refine,
-        router=router if router is not None else resolved.router,
-        shard_index=shard_index,
-    )
-    return body
+    return _compress_shard_parts(data, history, resolved, shard_index)[0]
 
 
 def close_stream(adler: int) -> bytes:
@@ -248,19 +217,7 @@ def _compress_shard(task: ShardTask) -> ShardResult:
     """Compress one shard, report timing (runs in a pool worker)."""
     start = time.perf_counter()
     body, decision, telemetry = _compress_shard_parts(
-        task.data,
-        history=task.history,
-        window_size=task.window_size,
-        hash_spec=task.hash_spec,
-        policy=task.policy,
-        strategy=task.strategy,
-        backend=task.backend,
-        tokens_per_block=task.tokens_per_block,
-        cut_search=task.cut_search,
-        sniff=task.sniff,
-        refine=task.refine,
-        router=task.router,
-        shard_index=task.index,
+        task.data, task.history, task.config, task.index,
     )
     crc = 0
     if task.want_crc:
@@ -396,78 +353,68 @@ class ShardedCompressor:
         )
         if resolved.strategy is BlockStrategy.STORED:
             raise ConfigError("STORED shards would not compress anything")
-        if params is None:
-            self.window_size = resolved.window_size
-            self.hash_spec = resolved.hash_spec
-            self.policy = resolved.policy
-        else:
-            self.window_size = params.window_size
-            self.hash_spec = params.hash_spec
-            self.policy = params.policy
+        if params is not None:
+            resolved = replace(
+                resolved, window_size=params.window_size,
+                hash_spec=params.hash_spec, policy=params.policy,
+            )
         self.workers = workers or os.cpu_count() or 1
         self.pool = pool
         self.shard_size = shard_size
         self.carry_window = carry_window
-        self.strategy = resolved.strategy
-        self.tokens_per_block = resolved.tokens_per_block
-        self.cut_search = resolved.cut_search
-        self.sniff = resolved.sniff
-        self.backend = resolved.backend
-        self.refine = resolved.refine
         self.shard_backends = dict(shard_backends or {})
         # A preset dictionary primes shard 0's matcher and switches the
         # stitched stream to FDICT framing; decode with
         # zlib.decompressobj(zdict=<the trimmed dictionary>). Later
         # shards are primed by carry_window (or stay cold) — only the
         # stream head lacks history the dictionary can supply.
-        self.zdict = resolved.zdict
-        if self.zdict:
-            from repro.lzss.batch import effective_dictionary
+        self.dictionary = effective_dictionary(
+            resolved.zdict, resolved.window_size
+        )
+        #: The resolved settings every shard task carries.
+        self.shard_config = replace(resolved, zdict=b"")
 
-            self._dictionary = effective_dictionary(
-                self.zdict, self.window_size
-            )
+    def __getattr__(self, name: str):
+        # window_size, strategy, backend, ...: read through to the one
+        # resolved config (zdict is carried as ``dictionary`` instead).
+        if name in _SHARD_SETTINGS:
+            return getattr(self.shard_config, name)
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
+
+    def header(self) -> bytes:
+        """The stitched stream's ZLib header (FDICT with a dictionary)."""
+        return make_header(self.window_size, self.dictionary)
+
+    def task(self, index: int, data: bytes, preceding: bytes = b"",
+             want_crc: bool = False) -> ShardTask:
+        """The job for shard ``index`` — the one place tasks are built.
+
+        ``preceding`` is the plaintext just before the shard (only its
+        reachable tail matters); it becomes the shard's history under
+        ``carry_window``. Shard 0 is primed with the preset dictionary
+        instead. ``shard_backends`` overrides the backend per index.
+        """
+        if index == 0:
+            history = self.dictionary
         else:
-            self._dictionary = b""
-        self.router = resolved.router
-
-    @property
-    def traced(self) -> bool:
-        """Whether every shard runs the instrumented traced backend."""
-        return self.backend == "traced"
+            history = preceding if self.carry_window else b""
+        config = self.shard_config
+        if index in self.shard_backends:
+            config = replace(config, backend=self.shard_backends[index])
+        return ShardTask(index, data, history, config, want_crc)
 
     def plan(self, data: bytes) -> List[ShardTask]:
-        """Cut ``data`` into shard tasks (empty input -> no shards).
-
-        Each task carries the engine-level ``backend`` unless
-        ``shard_backends`` overrides that shard's index.
-        """
-        tasks: List[ShardTask] = []
+        """Cut ``data`` into shard tasks (empty input -> no shards)."""
         keep = self.window_size + MIN_LOOKAHEAD
-        for index, start in enumerate(range(0, len(data), self.shard_size)):
-            history = b""
-            if self.carry_window and start:
-                history = data[max(0, start - keep):start]
-            elif index == 0 and self._dictionary:
-                history = self._dictionary
-            tasks.append(
-                ShardTask(
-                    index=index,
-                    data=data[start:start + self.shard_size],
-                    history=history,
-                    window_size=self.window_size,
-                    hash_spec=self.hash_spec,
-                    policy=self.policy,
-                    strategy=self.strategy,
-                    backend=self.shard_backends.get(index, self.backend),
-                    tokens_per_block=self.tokens_per_block,
-                    cut_search=self.cut_search,
-                    sniff=self.sniff,
-                    refine=self.refine,
-                    router=self.router,
-                )
+        return [
+            self.task(index, data[start:start + self.shard_size],
+                      data[max(0, start - keep):start])
+            for index, start in enumerate(
+                range(0, len(data), self.shard_size)
             )
-        return tasks
+        ]
 
     def compress(self, data: bytes) -> ParallelCompressionResult:
         """Compress ``data`` into one ZLib stream, shards in parallel."""
@@ -489,32 +436,13 @@ class ShardedCompressor:
             stats.note_inflight(len(tasks))
             pool = self.pool or get_default_pool(self.workers)
             results = pool.map_shards(tasks)
-        if self._dictionary:
-            from repro.deflate.preset_dict import fdict_header
-
-            out = bytearray(fdict_header(self.window_size,
-                                         self._dictionary))
-        else:
-            out = bytearray(make_header(self.window_size))
+        out = bytearray(self.header())
         adler = 1
         for result in results:
             out += result.body
             adler = adler32_combine(adler, result.adler,
                                     result.input_bytes)
-            stats.add_shard(
-                ShardStat(
-                    index=result.index,
-                    input_bytes=result.input_bytes,
-                    output_bytes=len(result.body),
-                    wall_s=result.wall_s,
-                    worker=result.worker,
-                    backend=result.backend,
-                    route_reason=result.route_reason,
-                    traced_sample=result.traced_sample,
-                )
-            )
-            if result.telemetry is not None:
-                stats.calibration.add(result.telemetry)
+            stats.add_result(result)
         out += close_stream(adler)
         stats.wall_s = time.perf_counter() - start
         return ParallelCompressionResult(data=bytes(out), stats=stats)

@@ -57,8 +57,21 @@ class ParallelStats:
     #: calibration feed for the estimator's cycle model.
     calibration: CalibrationLog = field(default_factory=CalibrationLog)
 
-    def add_shard(self, stat: ShardStat) -> None:
-        self.shards.append(stat)
+    def add_result(self, result) -> None:
+        """Record one finished :class:`~repro.parallel.engine.ShardResult`
+        (and its traced-sample telemetry point, if any)."""
+        self.shards.append(ShardStat(
+            index=result.index,
+            input_bytes=result.input_bytes,
+            output_bytes=len(result.body),
+            wall_s=result.wall_s,
+            worker=result.worker,
+            backend=result.backend,
+            route_reason=result.route_reason,
+            traced_sample=result.traced_sample,
+        ))
+        if result.telemetry is not None:
+            self.calibration.add(result.telemetry)
 
     def merge(self, other: "ParallelStats") -> None:
         """Fold another run's shards into this aggregate.

@@ -98,7 +98,6 @@ def _presets() -> Dict[str, CompressionProfile]:
             policy=ZLIB_LEVELS[1],
             strategy=BlockStrategy.FIXED,
             cut_search=False,
-            sniff=True,
             backend="auto",
         ),
         "balanced": CompressionProfile(

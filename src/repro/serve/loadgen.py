@@ -60,6 +60,8 @@ def reference_stream(payload: bytes, config: ShardedCompressor) -> bytes:
         tokens_per_block=config.tokens_per_block,
         cut_search=config.cut_search,
         sniff=config.sniff,
+        refine=config.refine,
+        router=config.router,
     )
     out = bytearray()
     for start in range(0, len(payload), config.shard_size):

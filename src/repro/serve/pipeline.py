@@ -13,12 +13,14 @@ Completed fragments are emitted strictly in shard order through the
 session's async ``emit`` callable, so the sink receives a valid stream
 incrementally. Two framings share the pipeline:
 
-* ``zlib`` — ZLib header, sync-flushed shard fragments, final empty
-  block + Adler-32 stitched with
+* ``zlib`` — ZLib header (FDICT when the compressor has a preset
+  dictionary), sync-flushed shard fragments, final empty block +
+  Adler-32 stitched with
   :func:`repro.checksums.adler32.adler32_combine`. Byte-identical to
-  :class:`repro.deflate.stream.ZLibStreamCompressor` fed shard-size
-  chunks with a ``flush_sync()`` between each (the differential tests
-  pin this).
+  the compressor's own one-shot ``compress()`` and, without a
+  dictionary, to :class:`repro.deflate.stream.ZLibStreamCompressor`
+  fed shard-size chunks with a ``flush_sync()`` between each (the
+  differential tests pin both).
 * ``gzip`` — gzip member header, the *same* Deflate fragments, and a
   CRC-32 + ISIZE trailer stitched with
   :func:`repro.checksums.crc32.crc32_combine`; shard workers compute
@@ -42,12 +44,11 @@ from repro.checksums.adler32 import adler32_combine
 from repro.checksums.crc32 import crc32_combine
 from repro.deflate.block_writer import write_fixed_block
 from repro.deflate.gzip_container import member_header, member_trailer
-from repro.deflate.zlib_container import make_header
 from repro.errors import ConfigError
 from repro.lzss.tokens import MIN_LOOKAHEAD, TokenArray
-from repro.parallel.engine import ShardTask, ShardedCompressor, close_stream
+from repro.parallel.engine import ShardedCompressor, close_stream
 from repro.parallel.pool import WarmPool
-from repro.parallel.stats import ParallelStats, ShardStat
+from repro.parallel.stats import ParallelStats
 from repro.serve.protocol import FORMATS
 
 Emit = Callable[[bytes], Awaitable[None]]
@@ -57,9 +58,11 @@ class StreamSession:
     """One compression stream: feed plaintext, emit framed compressed bytes.
 
     ``config`` is a :class:`~repro.parallel.engine.ShardedCompressor`
-    used purely as the resolved parameter bundle (window, policy,
-    strategy, backend, router, shard size, carry-window) — the session
-    never calls its one-shot ``compress()``. ``pool`` is the shared
+    used as the stream's settings, task builder and header (every
+    resolved knob, shard size, carry-window, preset dictionary) — the
+    session never calls its one-shot ``compress()``. gzip streams
+    cannot carry a preset dictionary (no FDICT in RFC 1952) and raise
+    :class:`~repro.errors.ConfigError`. ``pool`` is the shared
     warm pool; ``emit`` is an async callable receiving compressed byte
     runs in order (header first, trailer last).
     """
@@ -76,6 +79,11 @@ class StreamSession:
             raise ConfigError(
                 f"unknown stream format {fmt!r} (want one of "
                 f"{sorted(FORMATS)})"
+            )
+        if fmt == "gzip" and config.dictionary:
+            raise ConfigError(
+                "gzip has no preset-dictionary (FDICT) framing; "
+                "serve zdict streams as zlib"
             )
         self._config = config
         self._pool = pool
@@ -116,7 +124,7 @@ class StreamSession:
         if self.format == "gzip":
             await self._send(member_header())
         else:
-            await self._send(make_header(self._config.window_size))
+            await self._send(self._config.header())
 
     async def _submit(self, shard: bytes) -> None:
         # The writer's backpressure latch, await-shaped: block this
@@ -124,21 +132,8 @@ class StreamSession:
         while len(self._pending) >= self.max_inflight:
             await self._drain_one()
         cfg = self._config
-        task = ShardTask(
-            index=self._next_index,
-            data=shard,
-            history=self._tail if cfg.carry_window else b"",
-            window_size=cfg.window_size,
-            hash_spec=cfg.hash_spec,
-            policy=cfg.policy,
-            strategy=cfg.strategy,
-            backend=cfg.backend,
-            tokens_per_block=cfg.tokens_per_block,
-            cut_search=cfg.cut_search,
-            sniff=cfg.sniff,
-            router=cfg.router,
-            want_crc=(self.format == "gzip"),
-        )
+        task = cfg.task(self._next_index, shard, self._tail,
+                        want_crc=(self.format == "gzip"))
         self._next_index += 1
         self._total_in += len(shard)
         if cfg.carry_window:
@@ -165,20 +160,7 @@ class StreamSession:
         if self.format == "gzip":
             self._crc = crc32_combine(self._crc, result.crc,
                                       result.input_bytes)
-        self.stats.add_shard(
-            ShardStat(
-                index=result.index,
-                input_bytes=result.input_bytes,
-                output_bytes=len(result.body),
-                wall_s=result.wall_s,
-                worker=result.worker,
-                backend=result.backend,
-                route_reason=result.route_reason,
-                traced_sample=result.traced_sample,
-            )
-        )
-        if result.telemetry is not None:
-            self.stats.calibration.add(result.telemetry)
+        self.stats.add_result(result)
 
     def _guard(self) -> None:
         if self._failed:

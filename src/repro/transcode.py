@@ -5,9 +5,10 @@ blocks from low-latency writers (this repo's own paper datapath), or
 monolithic dynamic blocks with no regard for content boundaries. Since
 the container formats are self-describing, such a stream can be
 re-encoded losslessly: decode it with the fast table-driven inflate,
-run the payload back through the adaptive block splitter with cut-point
-search (:func:`repro.deflate.splitter.zlib_compress_adaptive`), and
-keep whichever stream is smaller.
+run the payload back through the one-shot pipeline under the adaptive
+block strategy with cut-point search (:func:`repro.api.compress`, or
+the same Deflate body in a gzip member), and keep whichever stream is
+smaller.
 
 The pipeline is strictly verify-before-trust: every candidate is
 decoded again and byte-compared to the original payload before it can
@@ -25,13 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.checksums.crc32 import crc32
+from repro.api import CompressRequest, compress
 from repro.deflate import gzip_container
-from repro.deflate.splitter import (
-    DEFAULT_TOKENS_PER_BLOCK,
-    deflate_adaptive,
-    zlib_compress_adaptive,
-)
+from repro.deflate.block_writer import BlockStrategy
+from repro.deflate.splitter import DEFAULT_TOKENS_PER_BLOCK
 from repro.deflate.zlib_container import decompress as zlib_decompress
 from repro.errors import TranscodeError
 
@@ -71,23 +69,6 @@ def detect_container(stream: bytes) -> str:
     return "zlib"
 
 
-def _recompress_gzip(payload: bytes, window_size: int,
-                     tokens_per_block: int, cut_search: bool) -> bytes:
-    """Adaptive-split gzip member for ``payload`` (mirrors the zlib
-    path of :func:`zlib_compress_adaptive`, with RFC 1952 framing)."""
-    from repro.lzss.compressor import LZSSCompressor
-
-    tokens = LZSSCompressor(window_size, backend="fast") \
-        .compress(payload).tokens
-    split = deflate_adaptive(tokens, payload, tokens_per_block,
-                             cut_search=cut_search)
-    return (
-        gzip_container.member_header()
-        + split.body
-        + gzip_container.member_trailer(crc32(payload), len(payload))
-    )
-
-
 def transcode(
     stream: bytes,
     window_size: int = 4096,
@@ -109,11 +90,14 @@ def transcode(
     dictionary. The container format is preserved either way.
     """
     container = detect_container(stream)
+    request = CompressRequest(
+        window_size=window_size, tokens_per_block=tokens_per_block,
+        cut_search=cut_search, strategy=BlockStrategy.ADAPTIVE,
+    )
     force_plain = False
     if container == "gzip":
         payload = gzip_container.decompress(stream, max_output=max_output)
-        candidate = _recompress_gzip(payload, window_size,
-                                     tokens_per_block, cut_search)
+        candidate = gzip_container.frame_member(payload, request.resolve())
         redecoded = gzip_container.decompress(candidate)
     else:
         from repro.deflate.zlib_container import parse_header_info
@@ -123,10 +107,7 @@ def transcode(
         force_plain = parse_header_info(stream).fdict
         payload = zlib_decompress(stream, max_output=max_output,
                                   zdict=zdict)
-        candidate = zlib_compress_adaptive(
-            payload, window_size=window_size,
-            tokens_per_block=tokens_per_block, cut_search=cut_search,
-        )
+        candidate = compress(payload, request)
         redecoded = zlib_decompress(candidate)
     if redecoded != payload:
         raise TranscodeError(

@@ -112,14 +112,27 @@ class TestZdictFlags:
                      "-o", str(restored)]) == 0
         assert restored.read_bytes() == data
 
-    def test_compress_zdict_rejects_other_strategies(self, tmp_path):
+    def test_compress_zdict_honours_the_strategy(self, tmp_path, capsys):
+        data = b"\n".join(json_messages(20, 1024))
         source = tmp_path / "input.bin"
-        source.write_bytes(b"payload " * 100)
+        source.write_bytes(data)
         dict_file = tmp_path / "dict.bin"
         dict_file.write_bytes(ZDICT)
-        with pytest.raises(SystemExit):
-            main(["compress", str(source), "--zdict", str(dict_file),
-                  "--strategy", "adaptive"])
+        streams = {}
+        for strategy in ("fixed", "adaptive"):
+            out = tmp_path / f"input.{strategy}.lzz"
+            assert main(["compress", str(source), "--zdict",
+                         str(dict_file), "--strategy", strategy,
+                         "-o", str(out)]) == 0
+            streams[strategy] = out.read_bytes()
+        assert "FDICT" in capsys.readouterr().out
+        # JSON text codes smaller with dynamic tables than fixed ones.
+        assert len(streams["adaptive"]) < len(streams["fixed"])
+        decoder = zlib.decompressobj(
+            zdict=effective_dictionary(ZDICT, 4096)
+        )
+        assert decoder.decompress(streams["adaptive"]) \
+            + decoder.flush() == data
 
     def test_empty_dictionary_file_rejected(self, tmp_path):
         source = tmp_path / "input.bin"

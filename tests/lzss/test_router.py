@@ -20,7 +20,13 @@ import zlib
 import pytest
 
 from repro.deflate.block_writer import BlockStrategy
-from repro.deflate.sniff import looks_incompressible
+from repro.deflate.sniff import (
+    ENTROPY_BYPASS_BITS,
+    MIN_SNIFF_BYTES,
+    TRIGRAM_REPEAT_LIMIT,
+    looks_incompressible,
+    trigram_repeat_fraction,
+)
 from repro.errors import ConfigError
 from repro.lzss import router as router_mod
 from repro.lzss.policy import HW_MAX_POLICY, ZLIB_LEVELS
@@ -72,6 +78,26 @@ class TestProbe:
         for name, data in corpus_variety.items():
             probe = probe_shard(data)
             assert probe.incompressible == looks_incompressible(data), name
+
+    def test_trigram_pass_skipped_where_it_cannot_flip_the_verdict(
+        self, corpus_variety
+    ):
+        # The trigram pass runs only for inputs of MIN_SNIFF_BYTES or
+        # more whose entropy clears the bypass threshold; the verdict
+        # equals the one from all three signals measured unconditionally.
+        inputs = dict(corpus_variety)
+        inputs["ramp"] = bytes(range(256)) * 32  # max entropy, LZ-rich
+        inputs["noise-small"] = incompressible(MIN_SNIFF_BYTES - 1, seed=3)
+        for name, data in inputs.items():
+            probe = probe_shard(data)
+            gated = (len(data) >= MIN_SNIFF_BYTES
+                     and probe.entropy_bits >= ENTROPY_BYPASS_BITS)
+            assert (probe.trigram_repeat is not None) == gated, name
+            full = gated and \
+                trigram_repeat_fraction(data) < TRIGRAM_REPEAT_LIMIT
+            assert probe.incompressible == full, name
+        assert probe_shard(inputs["random"]).incompressible
+        assert probe_shard(inputs["wiki"]).trigram_repeat is None
 
 
 # ---------------------------------------------------------------------

@@ -16,13 +16,17 @@ import zlib
 
 import pytest
 
+from repro.deflate.stream import ZLibStreamCompressor
 from repro.errors import ConfigError, ServeProtocolError
+from repro.lzss.tokens import effective_dictionary
 from repro.parallel import engine as engine_module
+from repro.parallel.engine import ShardedCompressor
 from repro.parallel.pool import get_default_pool
 from repro.serve import CompressionService, compress_stream
 from repro.serve.loadgen import make_payload, reference_stream
 from repro.serve.pipeline import StreamSession
 from repro.serve.protocol import stream_header
+from repro.workloads.corpus import sample
 
 SHARD = 2048  # several shards per stream without big payloads
 
@@ -93,6 +97,53 @@ class TestZlibStreams:
         compressed, _ = results[0]
         assert zlib.decompress(compressed) == payload
         assert compressed == reference_stream(payload, service.config)
+
+
+class TestResolvedConfigReachesShards:
+    """Every resolved knob of the service's compressor reaches the shard
+    workers: the served bytes match the library entry points that take
+    the same settings."""
+
+    def test_best_profile_matches_stream_compressor(self):
+        # best turns on the refine loop; 16 KiB shards of wiki text give
+        # blocks large enough for it to move bytes.
+        shard = 16 * 1024
+        payload = sample("wiki", 4 * shard)
+        _, results = serve_streams([(payload, 5000, "zlib")],
+                                   shard_size=shard, profile="best")
+        stream = ZLibStreamCompressor(profile="best")
+        expected = bytearray()
+        for start in range(0, len(payload), shard):
+            expected += stream.compress(payload[start:start + shard])
+            expected += stream.flush_sync()
+        expected += stream.finish()
+        assert results[0][0] == bytes(expected)
+
+    def test_zdict_stream_is_fdict_framed_and_primed(self):
+        zdict = make_payload(3000, seed=5)
+        payload = make_payload(3 * SHARD + 40)
+        service, results = serve_streams([(payload, 900, "zlib")],
+                                         zdict=zdict)
+        compressed = results[0][0]
+        assert compressed[1] & 0x20  # FDICT
+        effective = effective_dictionary(zdict, 4096)
+        decoder = zlib.decompressobj(zdict=effective)
+        assert decoder.decompress(compressed) + decoder.flush() == payload
+        expected = ShardedCompressor(
+            workers=1, shard_size=SHARD, carry_window=True, zdict=zdict,
+        ).compress(payload).data
+        assert compressed == expected
+
+    def test_gzip_with_zdict_rejected(self):
+        config = CompressionService(
+            workers=2, shard_size=SHARD, zdict=b"preset dictionary"
+        ).config
+
+        async def emit(_data):
+            pass
+
+        with pytest.raises(ConfigError, match="FDICT"):
+            StreamSession(config, get_default_pool(2), emit, fmt="gzip")
 
 
 class TestGzipStreams:
