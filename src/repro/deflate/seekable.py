@@ -157,10 +157,13 @@ def open_archive(blob: bytes) -> SeekableArchive:
     for entry in entries:
         if entry.compressed_offset + entry.compressed_size > len(payload):
             raise FormatError("block index points past the payload")
-    # Every block but the last must be exactly block_size long.
+    # Every block but the last must be exactly block_size long, and the
+    # last no longer: the index sizes cap each block's inflate.
     for entry in entries[:-1]:
         if entry.uncompressed_size != block_size:
             raise FormatError("non-final block with irregular size")
+    if entries and entries[-1].uncompressed_size > block_size:
+        raise FormatError("final block larger than block_size")
     return SeekableArchive(
         block_size=block_size, entries=entries, payload=payload,
         dictionary=dictionary,
@@ -173,10 +176,12 @@ def _decode_block(archive: SeekableArchive, index: int) -> bytes:
         entry.compressed_offset:
         entry.compressed_offset + entry.compressed_size
     ]
+    # The cap aborts a bomb block mid-inflate instead of after it.
+    cap = entry.uncompressed_size
     if archive.dictionary:
-        data = decompress_with_dict(blob, archive.dictionary)
+        data = decompress_with_dict(blob, archive.dictionary, max_output=cap)
     else:
-        data = zlib_decompress(blob)
+        data = zlib_decompress(blob, max_output=cap)
     if len(data) != entry.uncompressed_size:
         raise FormatError(
             f"block {index} decoded to {len(data)} bytes, "

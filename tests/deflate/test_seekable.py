@@ -1,7 +1,11 @@
 """Seekable container tests."""
 
+import struct
+import zlib
+
 import pytest
 
+from repro.deflate import seekable
 from repro.deflate.seekable import (
     blocks_touched,
     create,
@@ -158,3 +162,60 @@ class TestDictionaryArchives:
         blob = create(log[:4096], block_size=1024, dictionary=dictionary)
         with pytest.raises(FormatError):
             open_archive(blob[:14])
+
+
+def _archive(block_size, blocks):
+    """A version-1 archive from ``(zlib stream, index size)`` pairs."""
+    out = bytearray(struct.pack("<4sBII", b"LZSK", 1, block_size,
+                                len(blocks)))
+    offset = 0
+    for stream, usize in blocks:
+        out += struct.pack("<QII", offset, len(stream), usize)
+        offset += len(stream)
+    for stream, _ in blocks:
+        out += stream
+    return bytes(out)
+
+
+class TestDecompressionBomb:
+    """Each block inflates at most the size its index entry claims."""
+
+    BOMB = zlib.compress(bytes(4 << 20), 9)  # 4 MiB of zeros, ~4 KiB
+
+    def test_bomb_block_raises_format_error(self):
+        blob = _archive(4096, [(self.BOMB, 4096)])
+        with pytest.raises(FormatError):
+            read_range(blob, 0, 10)
+
+    def test_decode_receives_the_index_size_as_cap(self, monkeypatch):
+        caps = []
+        real = seekable.zlib_decompress
+
+        def spy(stream, max_output=None):
+            caps.append(max_output)
+            return real(stream, max_output=max_output)
+
+        monkeypatch.setattr(seekable, "zlib_decompress", spy)
+        data = b"seekable cap " * 700
+        assert read_all(create(data, block_size=4096)) == data
+        assert caps == [4096, 4096, len(data) - 8192]
+
+    def test_dictionary_decode_receives_the_cap(self, monkeypatch):
+        caps = []
+        real = seekable.decompress_with_dict
+
+        def spy(stream, dictionary, max_output=None):
+            caps.append(max_output)
+            return real(stream, dictionary, max_output=max_output)
+
+        monkeypatch.setattr(seekable, "decompress_with_dict", spy)
+        data = b"primed block " * 200
+        blob = create(data, block_size=2048, dictionary=b"primed block ")
+        assert read_range(blob, 2050, 10) == data[2050:2060]
+        assert caps == [len(data) - 2048]
+
+    def test_oversized_final_entry_refused(self):
+        blob = _archive(4096, [(zlib.compress(b"x" * 4096), 4096),
+                               (zlib.compress(b"y" * 10), 4097)])
+        with pytest.raises(FormatError, match="final block"):
+            open_archive(blob)

@@ -1,17 +1,22 @@
 """Streaming compressor tests."""
 
+import math
 import zlib
 
 import pytest
 
+from repro.deflate import stream as stream_module
 from repro.deflate.block_writer import BlockStrategy
 from repro.deflate.stream import (
+    STREAM_BLOCK_BYTES,
     ZLibStreamCompressor,
     compress_chunks,
     decompress_prefix,
 )
 from repro.deflate.zlib_container import decompress, make_header
 from repro.errors import ConfigError
+from repro.lzss.tokens import MIN_LOOKAHEAD
+from repro.workloads.corpus import sample
 
 
 def chunked(data, size):
@@ -215,3 +220,84 @@ class TestLongLivedStream:
             assert list_sizes() == baseline, writes
         out += stream.finish()
         assert zlib.decompress(bytes(out)) == line * 1101
+
+
+class TestInputBuffering:
+    """Writes under STREAM_BLOCK_BYTES are held and deflated together."""
+
+    DATA = sample("wiki", 16 * 1024)
+
+    @pytest.fixture
+    def tokenized(self, monkeypatch):
+        """Bytes each tokenize call was handed: history plus chunk."""
+        seen = []
+        real = stream_module.tokenize_chunk_with_result
+
+        def spy(lzss, history, chunk, *args, **kwargs):
+            seen.append(len(history) + len(chunk))
+            return real(lzss, history, chunk, *args, **kwargs)
+
+        monkeypatch.setattr(stream_module, "tokenize_chunk_with_result", spy)
+        return seen
+
+    @pytest.mark.parametrize("size", [1, 7, 100])
+    def test_tokenizer_work_is_bounded(self, tokenized, size):
+        stream = ZLibStreamCompressor(profile="fastest")
+        out = bytearray()
+        for chunk in chunked(self.DATA, size):
+            out += stream.compress(chunk)
+        out += stream.finish()
+        assert zlib.decompress(bytes(out)) == self.DATA
+        blocks = math.ceil(len(self.DATA) / STREAM_BLOCK_BYTES)
+        bound = len(self.DATA) + blocks * (stream.window_size
+                                           + MIN_LOOKAHEAD)
+        assert sum(tokenized) <= bound
+
+    def test_held_bytes_stay_under_the_threshold(self):
+        stream = ZLibStreamCompressor(profile="fastest")
+        stream.compress(b"")  # the header goes out first
+        for written, chunk in enumerate(chunked(self.DATA, 100), 1):
+            held = len(stream._held) + len(chunk)
+            out = stream.compress(chunk)
+            if held < STREAM_BLOCK_BYTES:
+                assert out == b""
+            assert len(stream._held) < STREAM_BLOCK_BYTES
+            assert stream.total_in == min(written * 100, len(self.DATA))
+
+    def test_flush_sync_recovers_every_held_write(self):
+        stream = ZLibStreamCompressor(profile="fastest")
+        lines = chunked(self.DATA[:3000], 100)
+        out = b"".join(stream.compress(line) for line in lines)
+        assert decompress_prefix(out) == b""
+        out += stream.flush_sync()
+        assert decompress_prefix(out) == b"".join(lines)
+
+    def test_large_write_on_empty_buffer_is_deflated_at_once(
+            self, tokenized):
+        stream = ZLibStreamCompressor(profile="fastest")
+        big = self.DATA[:STREAM_BLOCK_BYTES]
+        out = stream.compress(big)
+        assert tokenized == [len(big)]
+        assert len(stream._held) == 0
+        marker = stream.flush_sync()
+        assert len(tokenized) == 1
+        assert decompress_prefix(out + marker) == big
+
+    def test_write_reaching_the_threshold_deflates_the_held_bytes(
+            self, tokenized):
+        stream = ZLibStreamCompressor(profile="fastest")
+        stream.compress(self.DATA[:100])
+        stream.compress(self.DATA[100:8292])
+        assert tokenized == [8292]
+        assert len(stream._held) == 0
+
+    def test_trace_calibration_counts_deflated_chunks(self):
+        stream = ZLibStreamCompressor(trace_fraction=1.0)
+        out = bytearray()
+        for chunk in chunked(self.DATA, 100):
+            out += stream.compress(chunk)
+        out += stream.finish()
+        assert zlib.decompress(bytes(out)) == self.DATA
+        # 164 writes, 4 deflates: three of 41 lines (4,100 B) each and
+        # the 4,084 B left for finish().
+        assert len(stream.calibration) == 4

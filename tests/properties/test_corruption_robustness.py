@@ -7,6 +7,7 @@ breaks the structure must raise a :class:`~repro.errors.ReproError`
 subclass — never an ``IndexError``/``KeyError``/hang.
 """
 
+import struct
 import zlib
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -15,6 +16,7 @@ from repro.deflate.gzip_container import (
     compress as gzip_compress,
     decompress as gzip_decompress,
 )
+from repro.deflate.seekable import create, read_all, read_range
 from repro.deflate.zlib_container import compress, decompress
 from repro.errors import ReproError
 
@@ -104,3 +106,48 @@ class TestGzipContainer:
         except ReproError:
             return
         assert result == data
+
+
+class TestSeekableArchive:
+    """LZSK archives: the index is trusted for layout, never for safety.
+
+    A mutated header, index or block may decode to anything the index
+    allows (the index carries no checksum of its own), but it must raise
+    only library errors and never inflate past ``block_count *
+    block_size`` bytes.
+    """
+
+    @given(data=payload, dictionary=st.sampled_from([None, b"abcdef \n"]),
+           flip=st.data())
+    @relaxed
+    def test_mutated_archive_raises_library_errors(self, data, dictionary,
+                                                    flip):
+        blob = bytearray(create(data, block_size=1024,
+                                dictionary=dictionary))
+        index = flip.draw(st.integers(0, len(blob) - 1))
+        blob[index] ^= flip.draw(st.integers(1, 255))
+        try:
+            result = read_all(bytes(blob))
+        except ReproError:
+            return
+        block_size, count = struct.unpack_from("<II", blob, 5)
+        assert len(result) <= block_size * count
+
+    @given(data=payload, cut=st.data())
+    @relaxed
+    def test_truncated_archive_raises_library_errors(self, data, cut):
+        blob = create(data, block_size=1024)
+        keep = cut.draw(st.integers(0, len(blob) - 1))
+        try:
+            read_range(blob[:keep], 0, len(data))
+        except ReproError:
+            return
+        raise AssertionError(f"truncation to {keep} bytes decoded")
+
+    @given(junk=st.binary(max_size=64))
+    @relaxed
+    def test_garbage_input_raises_library_error(self, junk):
+        try:
+            read_all(b"LZSK" + junk)
+        except ReproError:
+            pass
